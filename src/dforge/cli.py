@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import AlgebraError, EvenCharacteristic, ParseError
 from .extfield import ExtField, GaloisDatum
@@ -211,6 +210,8 @@ def cmd_find(ctx):
     src = ctx._module(ctx.params.get("source") or ctx.params.get("module"))
     tgt = ctx._module(ctx.params.get("target"))
     bound = int(ctx.params.get("bound", 1))
+    if bound < 0:
+        raise ParseError("params.bound must be nonnegative")
     cands = ctx.params.get("candidates")
     candidates = None
     if cands is not None:
@@ -270,7 +271,7 @@ def cmd_star_orbit(ctx):
     }
 
 
-def cmd_example35(q, jobs=1):
+def cmd_example35(q):
     """Build the worked example over F_q, run every check, and classify."""
     p, d = _prime_power(q)
     if p == 2:
@@ -340,11 +341,7 @@ def cmd_example35(q, jobs=1):
 
     check("classification: n = (T), m_s = (T)", classify_check)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda c: bool(c[1]()), checks))
-    else:
-        outcomes = [bool(fn()) for _, fn in checks]
+    outcomes = [bool(fn()) for _, fn in checks]
     return {
         "q": q,
         "checks": [{"name": name, "pass": ok}
@@ -415,16 +412,16 @@ def main(argv=None):
                         help="seed for the factorization randomness source")
     parser.add_argument("--certify-bound", type=int, default=None,
                         help="non-CM certification bound for declared isogenies")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent checks")
     parser.add_argument("--q", type=int, default=3,
                         help="field size for the example35 command")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "example35":
-            result = cmd_example35(args.q, jobs=max(args.jobs, 1))
+            result = cmd_example35(args.q)
         else:
+            if args.certify_bound is not None and args.certify_bound < 0:
+                raise ParseError("--certify-bound must be nonnegative")
             if not args.infile:
                 raise ParseError("--in is required for this command")
             try:

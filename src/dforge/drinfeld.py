@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BadConstantTerm,
+    BudgetExceeded,
     CMSuspected,
     CocycleViolation,
     DivisionByZero,
@@ -30,6 +31,9 @@ from .errors import (
 from .fields import RatFunc
 from .ideals import divisors_in_degree_order
 from .skew import SkewPoly, conjugate, right_divmod, right_gcd, skew_eval
+
+# candidates linearized_roots_in_Q may test before it gives up
+ROOT_CANDIDATE_BUDGET = 2_000_000
 
 __all__ = [
     "DrinfeldModule",
@@ -317,6 +321,8 @@ class CertificateCache:
         self._by_module = {}
 
     def __call__(self, module, bound):
+        if bound < 0:
+            raise ValueError("bound must be nonnegative")
         cached = self._by_module.get(module)
         if cached is not None and cached.covers(module, bound):
             return cached
@@ -505,8 +511,8 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
                 visited.add((niu, niv))
                 heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
         tested += 1
-        if tested > 2_000_000:
-            raise ValueError("root candidate enumeration too large")
+        if tested > ROOT_CANDIDATE_BUDGET:
+            raise BudgetExceeded("root candidates", ROOT_CANDIDATE_BUDGET)
         if not u.gcd(v).is_one():
             continue
         if not _lin_eval_is_zero(cleared, u, vpows_for(v)):

@@ -167,6 +167,15 @@ class InternalInconsistency(AlgebraError):
     """An invariant the library guarantees failed to hold; a bug, not bad input."""
 
 
+class BudgetExceeded(AlgebraError):
+    """A search passed its fixed size cap; names the budget and its value."""
+
+    def __init__(self, budget, value):
+        super().__init__(f"{budget} exceed the budget of {value}")
+        self.budget = budget
+        self.value = value
+
+
 class ParseError(Exception):
     """Malformed textual input; carries a position for diagnostics."""
 

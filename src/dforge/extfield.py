@@ -448,7 +448,3 @@ class GaloisDatum:
 def apply_automorphism(datum, element, a):
     """Coefficient action used to build conjugates; a ring map fixing Q."""
     return datum.apply(element, a)
-
-
-def trivial_galois(field):
-    return GaloisDatum(field, ())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import ZeroIdeal, ZeroPolynomial
+from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
 from .fields import PolyA, RatFunc, poly_to_text
 
 _DEFAULT_SEED = 0xD4
@@ -290,7 +290,7 @@ def monic_divisors(f, rng=None, cap=200000):
     for prime, mult in factor_ideal(IdealA(f), rng):
         total *= mult + 1
         if total > cap:
-            raise ValueError("divisor enumeration too large")
+            raise BudgetExceeded("monic divisors", cap)
         powers = [field.poly_one]
         for _ in range(mult):
             powers.append(powers[-1] * prime.gen)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dforge import drinfeld
 from dforge.cli import cmd_example35, main
 from dforge.fields import Fq
 from dforge.extfield import ExtField
@@ -203,6 +204,36 @@ def test_cli_domain_error_exit_code(tmp_path):
     out = run_cli(["verify"], doc, tmp_path)
     assert out.returncode == 2
     assert "NotIntertwining" in out.stderr
+
+
+def rational_doc():
+    return {
+        "field": {"p": 3},
+        "modules": {"phi": "T + t + t^2", "psi": "T + 2*t + t^2"},
+        "params": {"source": "phi", "target": "psi", "bound": 1},
+    }
+
+
+def test_cli_negative_bounds_are_parse_errors(tmp_path):
+    doc = rational_doc()
+    out = run_cli(["find"], doc, tmp_path)
+    assert out.returncode == 0, out.stderr
+    doc["params"]["bound"] = -1
+    out = run_cli(["find"], doc, tmp_path)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "params.bound must be nonnegative" in out.stderr
+    out = run_cli(["verify", "--certify-bound", "-1"], example_doc(), tmp_path)
+    assert out.returncode == 1
+    assert "--certify-bound must be nonnegative" in out.stderr
+
+
+def test_cli_budget_exceeded_is_domain_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(rational_doc()))
+    monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 0)
+    assert main(["find", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "domain error: BudgetExceeded" in err
 
 
 def test_cmd_example35_in_process():

@@ -4,18 +4,22 @@ import random
 
 import pytest
 
+from dforge import drinfeld
 from dforge.drinfeld import (
+    CertificateCache,
     DescentCocycle,
     certify_non_cm,
     conjugate_module,
     descend_k_model,
     endo_search,
     j_invariant,
+    linearized_roots_in_Q,
     make_module,
     phi_a,
 )
 from dforge.errors import (
     BadConstantTerm,
+    BudgetExceeded,
     CMSuspected,
     CocycleViolation,
     NonCyclicGroup,
@@ -166,6 +170,27 @@ def test_certify_non_cm_flags_cm_module():
     cert = certify_non_cm(phi, 3)
     assert cert.covers(phi, 2) and not cert.covers(phi, 4)
     assert cert.dimension == 2
+
+
+def test_certificate_cache_refuses_negative_bound():
+    rng = random.Random(101)
+    phi = random_module(rng, Q3)
+    certs = CertificateCache()
+    assert certs(phi, 2).covers(phi, 2)
+    # a cached certificate covers every smaller bound; -1 must not get it
+    with pytest.raises(ValueError):
+        certs(phi, -1)
+
+
+def test_root_search_budget(monkeypatch):
+    # T + tau: candidates 1/1 and T/1, neither a root; the second passes
+    # a budget of one
+    gpoly = SkewPoly(Q3, (Q3.T(), Q3.one))
+    assert linearized_roots_in_Q(gpoly) == []
+    monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded) as err:
+        linearized_roots_in_Q(gpoly)
+    assert err.value.budget == "root candidates" and err.value.value == 1
 
 
 def _base_module_in_Q(rng, K):

@@ -1,13 +1,33 @@
 """Base algebra: the tower F_p < F_q < A < Q, ideals, and Galois actions."""
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dforge.errors import DivisionByZero, InvalidAutomorphism, ZeroPolynomial
+from dforge.errors import (
+    BudgetExceeded,
+    DivisionByZero,
+    InvalidAutomorphism,
+    ZeroPolynomial,
+)
 from dforge.extfield import GaloisDatum, apply_automorphism, ext_frobenius
-from dforge.fields import Fq, RatFunc, fq_arith, poly_divmod
-from dforge.ideals import IdealA, factor_ideal, is_irreducible, rational_roots
+from dforge.fields import (
+    _KRON_MIN_LEN,
+    Fq,
+    RatFunc,
+    _kron_conv,
+    _trim,
+    fq_arith,
+    poly_divmod,
+)
+from dforge.ideals import (
+    IdealA,
+    factor_ideal,
+    is_irreducible,
+    monic_divisors,
+    rational_roots,
+)
 from dforge.randgen import random_ext_elem, random_fq_poly, random_ratfunc
 
 from helpers import (
@@ -76,6 +96,107 @@ def test_poly_mul_against_naive():
             assert a * b == naive_poly_mul(a, b)
 
 
+KRON_FIELDS = [
+    get_fq(3), get_fq(5), get_fq(7), F9, F4,
+    get_fq(2, (1, 1, 0, 1)),   # F_8
+    get_fq(3, (1, 2, 0, 1)),   # F_27
+]
+KRON_SHAPES = [
+    (1, 1),
+    (_KRON_MIN_LEN - 1, _KRON_MIN_LEN - 1),
+    (_KRON_MIN_LEN, _KRON_MIN_LEN),
+    (5000, 300),
+    (20000, 5000),
+]
+
+
+def _reference_tables(fq):
+    """Digit and multiplication tables of F_q from digit arithmetic."""
+    p, d, mod = fq.p, fq.d, fq.modulus
+
+    def digits(v):
+        return [(v // p ** i) % p for i in range(d)]
+
+    def pack(ds):
+        return sum((c % p) * p ** i for i, c in enumerate(ds))
+
+    def mul(x, y):
+        prod = [0] * (2 * d - 1)
+        for i, u in enumerate(digits(x)):
+            for j, v in enumerate(digits(y)):
+                prod[i + j] += u * v
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            for i, m in enumerate(mod):
+                prod[k - d + i] -= c * m
+        return pack(prod[:d])
+
+    q = fq.q
+    digtab = np.array([digits(x) for x in range(q)])
+    multab = np.array([[mul(x, y) for y in range(q)] for x in range(q)])
+    return digtab, multab
+
+
+def _schoolbook_mul(fq, a, b, digtab, multab):
+    """Row-by-row schoolbook product: add the F_p digits of every a_i b_j."""
+    if len(a) < len(b):
+        a, b = b, a
+    rows = {c: digtab[multab[a, c]] for c in set(b.tolist()) if c}
+    acc = np.zeros((len(a) + len(b) - 1, fq.d), dtype=np.int64)
+    for j, c in enumerate(b.tolist()):
+        if c:
+            acc[j: j + len(a)] += rows[c]
+    return (acc % fq.p) @ (fq.p ** np.arange(fq.d))
+
+
+@pytest.mark.parametrize("fq", KRON_FIELDS, ids=lambda f: f"q{f.q}")
+def test_arr_mul_against_schoolbook(fq):
+    digtab, multab = _reference_tables(fq)
+    rng = np.random.default_rng(fq.q)
+    for na, nb in KRON_SHAPES:
+        a = rng.integers(0, fq.q, na)
+        b = rng.integers(0, fq.q, nb)
+        a[-1] = b[-1] = 1
+        top = np.full(na, fq.q - 1), np.full(nb, fq.q - 1)  # all digits p - 1
+        pairs = [(a, b), top]
+        if fq.d > 1:
+            # coefficients in the prime field take the shorter paths
+            ap, bp = a % fq.p, b % fq.p
+            pairs += [(ap, b), (ap, bp)]
+        for x, y in pairs:
+            want = _schoolbook_mul(fq, x, y, digtab, multab)
+            assert np.array_equal(fq.arr_mul(x, y), want), (fq, na, nb)
+            assert np.array_equal(fq.arr_mul(y, x), want), (fq, nb, na)
+
+
+@pytest.mark.parametrize("p,ha,hb",
+                         [(2, 3, 3), (3, 1, 1), (7, 1, 1), (5, 2, 2), (3, 1, 3)])
+def test_kron_conv_reaches_slot_bound(p, ha, hb):
+    # all digits p - 1: the middle slots sum exactly min(ha, hb) * min(na, nb)
+    # terms of (p - 1)^2, the largest value the slot width must hold
+    na, nb = 700, 400
+    da = np.full((na, ha), p - 1)
+    db = np.full((nb, hb), p - 1)
+    conv = _kron_conv(da, db, p)
+    assert conv.shape == (na + nb - 1, ha + hb - 1)
+    assert conv.max() == min(ha, hb) * min(na, nb) * (p - 1) ** 2
+    for k in range(ha + hb - 1):
+        want = sum(np.convolve(da[:, i], db[:, k - i])
+                   for i in range(ha) if 0 <= k - i < hb)
+        assert np.array_equal(conv[:, k], want)
+
+
+def test_trim_cases():
+    empty = np.zeros(0, dtype=np.int64)
+    assert len(_trim(empty)) == 0
+    assert len(_trim(np.zeros(7, dtype=np.int64))) == 0
+    long_run = np.zeros(5000, dtype=np.int64)
+    long_run[:3] = (1, 0, 2)
+    assert _trim(long_run).tolist() == [1, 0, 2]
+    top = np.array([0, 0, 4], dtype=np.int64)
+    assert _trim(top) is top
+
+
 def test_ratfunc_canonical_form():
     rng = random.Random(11)
     for _ in range(1000):
@@ -96,6 +217,14 @@ def test_zero_ideal_rejected():
 
     with pytest.raises(ZeroIdeal):
         IdealA(F3.poly_zero)
+
+
+def test_monic_divisors_budget():
+    f = F3.poly([0, 1]) * F3.poly([1, 1])  # two primes: four divisors
+    assert len(monic_divisors(f, cap=4)) == 4
+    with pytest.raises(BudgetExceeded) as err:
+        monic_divisors(f, cap=3)
+    assert err.value.budget == "monic divisors" and err.value.value == 3
 
 
 def test_factor_ideal_examples():
