@@ -3,7 +3,8 @@
 One self-describing JSON job document declares the field tower, the
 objects (modules, isogenies, orbits), and parameters; each subcommand runs
 one library operation and prints a result JSON on stdout.  Exit codes:
-0 success, 1 parse/schema error, 2 domain error.
+0 success, 1 parse/schema error, 2 domain error, 3 internal error (a
+KeyError, TypeError or ValueError raised by the computation).
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 
 from .errors import AlgebraError, EvenCharacteristic, ParseError
 from .extfield import ExtField, GaloisDatum
@@ -45,6 +47,23 @@ from .trees import (
 )
 
 
+@contextmanager
+def _reading():
+    """Report a KeyError, TypeError or ValueError raised while reading the
+    document as the parse error it is."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed document ({exc})") from exc
+
+
+def _section(doc, key):
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{key} must be a JSON object")
+    return value
+
+
 class JobContext:
     """Field tower, declared objects, and helpers built from a document."""
 
@@ -54,37 +73,39 @@ class JobContext:
         fspec = doc.get("field")
         if not isinstance(fspec, dict) or "p" not in fspec:
             raise ParseError("field specification with p is required")
-        self.fq = Fq(int(fspec["p"]), fspec.get("fq_modulus"))
-        minpoly = fspec.get("ext_minpoly")
-        if minpoly is not None:
-            coeffs = [self._rat(c) for c in minpoly]
-            self.field = ExtField(self.fq, coeffs)
-        else:
-            self.field = ExtField(self.fq)
-        gens = []
-        for g in fspec.get("galois", []) or []:
-            image = self._ext(g["image"])
-            gens.append((g["name"], int(g["order"]), image))
-        self.galois = GaloisDatum(self.field, gens)
+        self.params = _section(doc, "params")
+        with _reading():
+            self.fq = Fq(int(fspec["p"]), fspec.get("fq_modulus"))
+            minpoly = fspec.get("ext_minpoly")
+            if minpoly is not None:
+                coeffs = [self._rat(c) for c in minpoly]
+                self.field = ExtField(self.fq, coeffs)
+            else:
+                self.field = ExtField(self.fq)
+            gens = []
+            for g in fspec.get("galois", []) or []:
+                image = self._ext(g["image"])
+                gens.append((g["name"], int(g["order"]), image))
+            self.galois = GaloisDatum(self.field, gens)
+            self.modules = {}
+            for name, text in _section(doc, "modules").items():
+                self.modules[name] = make_module(parse_skew(text, self.field))
         self.rng = random.Random(seed)
         self.certify_bound = certify_bound
         self.certs = CertificateCache()
-        self.modules = {}
-        for name, text in (doc.get("modules") or {}).items():
-            self.modules[name] = make_module(parse_skew(text, self.field))
         self.isogenies = {}
-        for name, spec in (doc.get("isogenies") or {}).items():
-            src = self._module(spec["source"])
-            tgt = self._module(spec["target"])
-            mu = parse_skew(spec["mu"], self.field)
+        for name, spec in _section(doc, "isogenies").items():
+            with _reading():
+                src = self._module(spec["source"])
+                tgt = self._module(spec["target"])
+                mu = parse_skew(spec["mu"], self.field)
             bound = self.certify_bound if self.certify_bound is not None \
                 else max(mu.deg, 0)
             cert = self.certs(src, bound)
             self.isogenies[name] = verify_isogeny(src, tgt, mu, cert)
         self.orbits = {}
-        for name, spec in (doc.get("orbits") or {}).items():
+        for name, spec in _section(doc, "orbits").items():
             self.orbits[name] = self._orbit(spec)
-        self.params = doc.get("params") or {}
 
     def _rat(self, text):
         from .textform import parse_rat
@@ -97,42 +118,43 @@ class JobContext:
         return parse_ext(spec, self.field)
 
     def _module(self, name):
-        if name not in self.modules:
+        if not isinstance(name, str) or name not in self.modules:
             raise ParseError(f"unknown module {name!r}")
         return self.modules[name]
 
     def _isogeny(self, name):
-        if name not in self.isogenies:
+        if not isinstance(name, str) or name not in self.isogenies:
             raise ParseError(f"unknown isogeny {name!r}")
         return self.isogenies[name]
 
     def _orbit_obj(self, name):
-        if name not in self.orbits:
+        if not isinstance(name, str) or name not in self.orbits:
             raise ParseError(f"unknown orbit {name!r}")
         return self.orbits[name]
 
     def _orbit(self, spec):
-        labels = tuple(spec["labels"])
-        gens = [
-            (g["name"], int(g["order"]), tuple(g["permutation"]))
-            for g in spec.get("generators", [])
-        ]
-        metrics = {}
-        for ptext, mat in (spec.get("metrics") or {}).items():
-            p = parse_ideal(ptext, self.fq)
-            metrics[p] = tuple(tuple(int(x) for x in row) for row in mat)
-        isogenies = {}
-        for key, iso_name in (spec.get("isogenies") or {}).items():
-            i, j = (int(x) for x in key.split(","))
-            isogenies[(i, j)] = self._isogeny(iso_name)
-        modules = tuple(self._module(m) for m in spec.get("modules", []))
-        datum = OrbitDatum(
-            labels=labels,
-            group=OrbitGroup(gens),
-            metrics=metrics,
-            isogenies=isogenies,
-            modules=modules,
-        )
+        with _reading():
+            labels = tuple(spec["labels"])
+            gens = [
+                (g["name"], int(g["order"]), tuple(g["permutation"]))
+                for g in spec.get("generators", [])
+            ]
+            metrics = {}
+            for ptext, mat in (spec.get("metrics") or {}).items():
+                p = parse_ideal(ptext, self.fq)
+                metrics[p] = tuple(tuple(int(x) for x in row) for row in mat)
+            isogenies = {}
+            for key, iso_name in (spec.get("isogenies") or {}).items():
+                i, j = (int(x) for x in key.split(","))
+                isogenies[(i, j)] = self._isogeny(iso_name)
+            modules = tuple(self._module(m) for m in spec.get("modules", []))
+            datum = OrbitDatum(
+                labels=labels,
+                group=OrbitGroup(gens),
+                metrics=metrics,
+                isogenies=isogenies,
+                modules=modules,
+            )
         return validate_orbit(datum)
 
     def param_isogeny(self):
@@ -209,13 +231,14 @@ def cmd_j(ctx):
 def cmd_find(ctx):
     src = ctx._module(ctx.params.get("source") or ctx.params.get("module"))
     tgt = ctx._module(ctx.params.get("target"))
-    bound = int(ctx.params.get("bound", 1))
+    with _reading():
+        bound = int(ctx.params.get("bound", 1))
+        cands = ctx.params.get("candidates")
+        candidates = None
+        if cands is not None:
+            candidates = [ctx._ext(c) for c in cands]
     if bound < 0:
         raise ParseError("params.bound must be nonnegative")
-    cands = ctx.params.get("candidates")
-    candidates = None
-    if cands is not None:
-        candidates = [ctx._ext(c) for c in cands]
     cert = ctx.certs(src, bound)
     isos = find_isogenies(src, tgt, bound, candidates=candidates,
                           certificate=cert)
@@ -228,7 +251,8 @@ def cmd_find(ctx):
 
 def cmd_project(ctx):
     iso = ctx.param_isogeny()
-    p = parse_ideal(ctx.params["prime"], ctx.fq)
+    with _reading():
+        p = parse_ideal(ctx.params["prime"], ctx.fq)
     mid, p_part, coprime = project_p(iso, p, certificate_factory=ctx.certs)
     return {
         "pi_p_target": skew_to_text(mid.phiT),
@@ -437,12 +461,12 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"parse error: malformed document ({exc})", file=sys.stderr)
-        return 1
     except AlgebraError as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -28,9 +28,9 @@ from .errors import (
     RankZero,
     UnsupportedField,
 )
-from .fields import RatFunc
+from .fields import RatFunc, primitive_numerators
 from .ideals import divisors_in_degree_order
-from .skew import SkewPoly, conjugate, right_divmod, right_gcd, skew_eval
+from .skew import SkewPoly, conjugate, right_divmod, skew_eval
 
 # candidates linearized_roots_in_Q may test before it gives up
 ROOT_CANDIDATE_BUDGET = 2_000_000
@@ -142,6 +142,13 @@ def intertwiner_closure(phi, psi, bound):
     scaled levels kept denominator-free so the tail constraints come out
     with polynomial coefficients.  The tails' common kernel is the set of
     admissible constant terms; left scaling does not change kernels.
+
+    Lemma (no division).  x -> x^q is a ring endomorphism of A = F_q[T]
+    that fixes F_q, so D(T^(q^k)) = D^(q^k) for every D in A; hence the
+    quotients D^(q^k) / D the recurrence needs are exactly
+    D^(q^k - 1) = prod_{j<k} (D^(q-1))^(q^j): one power D^(q-1), Frobenius
+    spreads and products (`frobenius_quotients`).  The closure makes no
+    polynomial division.
     """
     phi._rank2()
     psi._rank2()
@@ -160,14 +167,15 @@ def intertwiner_closure(phi, psi, bound):
     # D_i = (T^(q^i) - T) D_{i-1}^q over A
     gpow = [g]
     dlpow = [dl]
-    for _ in range(bound + 2):
+    for _ in range(bound):
         gpow.append(gpow[-1].frob())
         dlpow.append(dlpow[-1].frob())
     binom = [None]  # T^(q^i) - T
     dens = [fq.poly_one]
-    for i in range(1, bound + 3):
+    for i in range(1, bound + 1):
         binom.append(Tq.frob_power(i) - Tq)
         dens.append(binom[i] * dens[i - 1].frob_power(1))
+    quo = [frobenius_quotients(d, 2) for d in dens]  # D^q / D, D^(q^2) / D
 
     def embed(p):
         return field.from_poly(p)
@@ -175,37 +183,39 @@ def intertwiner_closure(phi, psi, bound):
     slevels = [one]
     for i in range(1, bound + 1):
         sm1 = slevels[i - 1]
-        dprev = dens[i - 1]
         acc = (tau * sm1).scale_left(g2) \
-            - sm1.scale_left(gpow[i - 1] * embed(dprev.frob_power(1) // dprev))
+            - sm1.scale_left(gpow[i - 1] * embed(quo[i - 1][0]))
         if i >= 2:
             sm2 = slevels[i - 2]
             e_i = embed(binom[i - 1].frob_power(1))  # D_{i-1}^q / D_{i-2}^(q^2)
             acc = acc + (tau2 * sm2).scale_left(dl2 * e_i) \
-                - sm2.scale_left(
-                    dlpow[i - 2] * e_i
-                    * embed(dens[i - 2].frob_power(2) // dens[i - 2])
-                )
+                - sm2.scale_left(dlpow[i - 2] * e_i * embed(quo[i - 2][1]))
         slevels.append(acc)
 
     sN = slevels[bound]
-    dN = dens[bound]
     tail1 = (tau * sN).scale_left(g2) \
-        - sN.scale_left(gpow[bound] * embed(dN.frob_power(1) // dN))
+        - sN.scale_left(gpow[bound] * embed(quo[bound][0]))
     if bound >= 1:
         sN1 = slevels[bound - 1]
         e_t = embed(binom[bound].frob_power(1))
         tail1 = tail1 + (tau2 * sN1).scale_left(dl2 * e_t) \
-            - sN1.scale_left(
-                dlpow[bound - 1] * e_t
-                * embed(dens[bound - 1].frob_power(2) // dens[bound - 1])
-            )
+            - sN1.scale_left(dlpow[bound - 1] * e_t * embed(quo[bound - 1][1]))
     tail2 = (tau2 * sN).scale_left(dl2) \
-        - sN.scale_left(dlpow[bound] * embed(dN.frob_power(2) // dN))
+        - sN.scale_left(dlpow[bound] * embed(quo[bound][1]))
     tails = [t for t in (tail1, tail2) if not t.is_zero()]
     if not tails:
         raise InternalInconsistency("both closure constraints vanished")
-    return slevels, dens[: bound + 1], tails
+    return slevels, dens, tails
+
+
+def frobenius_quotients(d, kmax):
+    """[D^(q^k) / D for k = 1 .. kmax] for nonzero D in A, without division:
+    D^(q^k - 1) = prod_{j<k} (D^(q-1))^(q^j) (see intertwiner_closure)."""
+    r = d ** (d.field.q - 1)
+    out = [r]
+    for j in range(1, kmax):
+        out.append(out[-1] * r.frob_power(j))
+    return out
 
 
 def a_part_kernel_poly(field, t):
@@ -228,13 +238,6 @@ def a_part_kernel_poly(field, t):
     return W
 
 
-def _constraint_gcd(tails):
-    g = tails[0]
-    for t in tails[1:]:
-        g = right_gcd(g, t)
-    return g
-
-
 def _strip_content(a):
     """Clear coordinate denominators and divide out the coefficient content.
 
@@ -244,23 +247,11 @@ def _strip_content(a):
     if a.is_zero():
         return a
     field = a.field
-    fq = field.fq
-    den_lcm = fq.poly_one
-    for c in a.coeffs:
-        for r in c.coords:
-            if not r.den.is_one():
-                den_lcm = (den_lcm * r.den) // den_lcm.gcd(r.den)
-    if not den_lcm.is_one():
-        scale = RatFunc.from_poly(den_lcm)
-        a = SkewPoly(field, [c.scale(scale) for c in a.coeffs])
-    content = fq.poly_zero
-    for c in a.coeffs:
-        for r in c.coords:
-            content = content.gcd(r.num)
-            if content.is_one():
-                return a
-    inv = RatFunc.from_poly(content).inverse()
-    return SkewPoly(field, [c.scale(inv) for c in a.coeffs])
+    e = field.e
+    nums = primitive_numerators(field.fq,
+                                [r for c in a.coeffs for r in c.coords])
+    return SkewPoly(field, [field.elem(nums[i: i + e])
+                            for i in range(0, len(nums), e)])
 
 
 def _pseudo_right_mod(a, b):
@@ -383,23 +374,9 @@ def certify_non_cm(module, bound):
 
 def _cleared_constraint(gpoly):
     """(cleared A-coefficients after the valuation strip, the valuation)."""
-    field = gpoly.field
-    fq = field.fq
     val = gpoly.tau_valuation()
     coeffs = [c.as_rat() for c in gpoly.coeffs[val:]]
-    den_lcm = fq.poly_one
-    for c in coeffs:
-        if not c.den.is_one():
-            den_lcm = (den_lcm * c.den) // den_lcm.gcd(c.den)
-    cleared = [c.num * (den_lcm // c.den) for c in coeffs]
-    content = fq.poly_zero
-    for c in cleared:
-        content = content.gcd(c)
-        if content.is_one():
-            break
-    if not content.is_one():
-        cleared = [c // content for c in cleared]
-    return cleared, val
+    return primitive_numerators(gpoly.field.fq, coeffs), val
 
 
 def _lin_eval_is_zero(cleared, u, vpows):

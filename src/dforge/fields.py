@@ -338,37 +338,11 @@ class Fq:
             raise DivisionByZero("polynomial division by zero")
         if len(a) < len(b):
             return _EMPTY, a
+        if len(b) == 1:
+            return self.arr_scalar_mul(a, self.sinv(int(b[0]))), _EMPTY
         r = a.copy()
-        nb = len(b)
-        quo = np.zeros(len(a) - nb + 1, dtype=np.int64)
-        inv_lead = self.sinv(int(b[-1]))
-        bneg = self.arr_neg(b)
-        addtab, multab = self._addtab, self._multab
-        if self.d == 1:
-            p = self.p
-            for k in range(len(a) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    quo[k] = qc
-                    r[k: k + nb] = (r[k: k + nb] + qc * bneg) % p
-        elif addtab is not None:
-            for k in range(len(a) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    quo[k] = qc
-                    r[k: k + nb] = addtab[r[k: k + nb], multab[bneg, qc]]
-        else:
-            for k in range(len(a) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    quo[k] = qc
-                    r[k: k + nb] = self.digit_add(
-                        r[k: k + nb], self._scalar_mul_nocheck(bneg, qc)
-                    )
-        return _trim(quo), _trim(r[: nb - 1])
+        rem = self.arr_mod_inplace(r, b)
+        return self.arr_scalar_mul(r[len(b) - 1:], self.sinv(int(b[-1]))), rem
 
     def _scalar_mul_nocheck(self, a, c):
         if self._multab is not None:
@@ -378,10 +352,15 @@ class Fq:
         out[nz] = self._exp[self._log[a[nz]] + self._log[c]]
         return out
 
-    def arr_mod_inplace(self, r, b, bneg):
-        """r mod b where r is a private writable array; returns trimmed view."""
+    def arr_mod_inplace(self, r, b):
+        """r mod b where r is a private writable array; returns trimmed view.
+
+        Each step cancels r's top coefficient against b below it and leaves
+        that coefficient in place, so r[len(b) - 1:] / lc(b) is the quotient.
+        """
         nb = len(b)
         inv_lead = self.sinv(int(b[-1]))
+        bneg = self.arr_neg(b[:-1])
         addtab, multab = self._addtab, self._multab
         if self.d == 1:
             p = self.p
@@ -389,20 +368,20 @@ class Fq:
                 c = int(r[k + nb - 1])
                 if c:
                     qc = self.smul(c, inv_lead)
-                    r[k: k + nb] = (r[k: k + nb] + qc * bneg) % p
+                    r[k: k + nb - 1] = (r[k: k + nb - 1] + qc * bneg) % p
         elif addtab is not None:
             for k in range(len(r) - nb, -1, -1):
                 c = int(r[k + nb - 1])
                 if c:
                     qc = self.smul(c, inv_lead)
-                    r[k: k + nb] = addtab[r[k: k + nb], multab[bneg, qc]]
+                    r[k: k + nb - 1] = addtab[r[k: k + nb - 1], multab[bneg, qc]]
         else:
             for k in range(len(r) - nb, -1, -1):
                 c = int(r[k + nb - 1])
                 if c:
                     qc = self.smul(c, inv_lead)
-                    r[k: k + nb] = self.digit_add(
-                        r[k: k + nb], self._scalar_mul_nocheck(bneg, qc)
+                    r[k: k + nb - 1] = self.digit_add(
+                        r[k: k + nb - 1], self._scalar_mul_nocheck(bneg, qc)
                     )
         return _trim(r[: nb - 1])
 
@@ -413,7 +392,7 @@ class Fq:
         while len(b):
             if len(b) == 1:
                 return np.array([1], dtype=np.int64)
-            r = self.arr_mod_inplace(a, b, self.arr_neg(b))
+            r = self.arr_mod_inplace(a, b)
             a, b = b, r
         if len(a) and a[-1] != 1:
             a = self.arr_scalar_mul(a, self.sinv(int(a[-1])))
@@ -427,15 +406,6 @@ class Fq:
         out = np.zeros((len(a) - 1) * stride + 1, dtype=np.int64)
         out[:: stride] = a
         return out
-
-    def arr_pth_root(self, a):
-        # valid when all exponents are divisible by p
-        if len(a) == 0:
-            return a
-        compressed = a[:: self.p].copy()
-        nz = compressed != 0
-        compressed[nz] = self._proot[compressed[nz]]
-        return _trim(compressed)
 
     # -- convenience constructors ---------------------------------------------
 
@@ -693,6 +663,19 @@ class PolyA:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def __pow__(self, e):
+        """self^e for an integer e >= 0, by square-and-multiply."""
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        out, base = None, self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return self.field.poly_one if out is None else out
+
     def gcd(self, other):
         return PolyA(self.field, self.field.arr_gcd(self._c, other._c))
 
@@ -771,6 +754,38 @@ def poly_divmod(a, b):
     if a.field is not b.field:
         raise FieldMismatch("operands from different fields")
     return divmod(a, b)
+
+
+def common_denominator(fq, rats):
+    """Monic lcm of the denominators of the RatFunc values `rats`."""
+    lcm = fq.poly_one
+    for r in rats:
+        if not r.den.is_one():
+            lcm = r.den if lcm.is_one() else lcm * (r.den // lcm.gcd(r.den))
+    return lcm
+
+
+def primitive_numerators(fq, rats):
+    """The primitive vector of A^n on the Q-line through `rats`.
+
+    Each r becomes r.num * (L // r.den) for the common denominator L, and
+    the results are divided by their content, their monic gcd; all of these
+    divisions are exact.  The result is `rats` times a nonzero element of Q
+    (all zero when `rats` is).
+    """
+    lcm = common_denominator(fq, rats)
+    nums = [r.num if r.den == lcm or r.is_zero() else r.num * (lcm // r.den)
+            for r in rats]
+    content = None
+    for n in nums:
+        if n.is_zero():
+            continue
+        content = n.monic() if content is None else content.gcd(n)
+        if content.is_one():
+            return nums
+    if content is None:
+        return nums
+    return [n // content for n in nums]
 
 
 class RatFunc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import PolyA, RatFunc, poly_to_text
+from .fields import (PolyA, RatFunc, _is_prime, poly_to_text,
+                     primitive_numerators)
 
 _DEFAULT_SEED = 0xD4
 
@@ -118,17 +119,6 @@ def is_irreducible(f):
         if not g.is_one():
             return False
     return (images[n] - T % f).is_zero()
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def squarefree_decomposition(f):
@@ -356,16 +346,7 @@ def rational_roots(coeffs, rng=None):
     field = coeffs[0].field
     if len(coeffs) == 1:
         return []
-    # clear denominators
-    den_lcm = field.poly_one
-    for c in coeffs:
-        den_lcm = (den_lcm * c.den) // den_lcm.gcd(c.den)
-    cleared = [c.num * (den_lcm // c.den) for c in coeffs]
-    # primitive part
-    content = field.poly_zero
-    for c in cleared:
-        content = content.gcd(c)
-    cleared = [c // content for c in cleared]
+    cleared = primitive_numerators(field, coeffs)
     roots = []
     # strip powers of x; x | g means 0 is a root
     low = 0

@@ -26,7 +26,7 @@ from .errors import (
     NotScalarConjugate,
     StructureError,
 )
-from .fields import FqElem
+from .fields import FqElem, common_denominator
 from .ideals import IdealA, divisors_of_degree, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
 from .skew import SkewPoly, conjugate, right_divmod, right_gcd
@@ -209,13 +209,9 @@ def _annihilator(iso):
         cur = cur * phi.phiT
         rems.append(right_divmod(cur, mu)[1])
     # common denominator and width for the F_q expansion
-    den_lcm = fq.poly_one
+    den_lcm = common_denominator(
+        fq, [rat for r in rems for c in r.coeffs for rat in c.coords])
     maxdeg = 0
-    for r in rems:
-        for c in r.coeffs:
-            for rat in c.coords:
-                if not rat.den.is_one():
-                    den_lcm = (den_lcm * rat.den) // den_lcm.gcd(rat.den)
     for r in rems:
         for c in r.coeffs:
             for rat in c.coords:

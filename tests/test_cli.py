@@ -1,5 +1,6 @@
 """CLI front end: documents, outputs, exit codes, the worked example."""
 import json
+import os
 import subprocess
 import sys
 
@@ -48,7 +49,7 @@ def example_doc():
     }
 
 
-def run_cli(args, doc=None, tmp_path=None):
+def run_cli(args, doc=None, tmp_path=None, env=None):
     argv = list(args)
     if doc is not None:
         path = tmp_path / "job.json"
@@ -57,6 +58,7 @@ def run_cli(args, doc=None, tmp_path=None):
     proc = subprocess.run(
         [sys.executable, "-m", "dforge.cli"] + argv,
         capture_output=True, text=True,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -234,6 +236,47 @@ def test_cli_budget_exceeded_is_domain_error(tmp_path, monkeypatch, capsys):
     assert main(["find", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "domain error: BudgetExceeded" in err
+
+
+def _planted_value_error(module, bound):
+    raise ValueError("planted")
+
+
+@pytest.mark.parametrize("case,code,message", [
+    ("ok", 0, ""),
+    ("isogeny without mu", 1, "parse error: malformed document ('mu')"),
+    ("isogeny named by a list", 1, "parse error: unknown isogeny ['mu']"),
+    ("params not an object", 1, "parse error: params must be a JSON object"),
+    ("not an isogeny", 2, "domain error: NotIntertwining"),
+    ("computation raises ValueError", 3, "internal error: ValueError: planted"),
+])
+def test_cli_exit_paths(tmp_path, monkeypatch, capsys, case, code, message):
+    doc = example_doc()
+    if case == "isogeny without mu":
+        del doc["isogenies"]["mu"]["mu"]
+    elif case == "isogeny named by a list":
+        doc["params"]["isogeny"] = ["mu"]
+    elif case == "params not an object":
+        doc["params"] = ["isogeny", "mu"]
+    elif case == "not an isogeny":
+        doc["isogenies"]["mu"]["mu"] = "1"
+    elif case == "computation raises ValueError":
+        monkeypatch.setattr(drinfeld, "certify_non_cm", _planted_value_error)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == code
+    out = capsys.readouterr()
+    assert message in out.err
+    assert (out.out != "") == (code == 0)
+
+
+@pytest.mark.parametrize("command,doc", [("degree", example_doc()),
+                                         ("find", rational_doc())])
+def test_cli_stdout_is_independent_of_hash_seed(tmp_path, command, doc):
+    outs = [run_cli([command], doc, tmp_path, env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_cmd_example35_in_process():

@@ -10,8 +10,10 @@ from dforge.drinfeld import (
     DescentCocycle,
     certify_non_cm,
     conjugate_module,
+    _strip_content,
     descend_k_model,
     endo_search,
+    frobenius_quotients,
     j_invariant,
     linearized_roots_in_Q,
     make_module,
@@ -28,7 +30,13 @@ from dforge.errors import (
     UnsupportedField,
 )
 from dforge.extfield import GaloisDatum
-from dforge.randgen import random_ext_elem, random_fq_poly, random_module
+from dforge.fields import RatFunc
+from dforge.randgen import (
+    random_ext_elem,
+    random_fq_poly,
+    random_module,
+    random_skew,
+)
 from dforge.skew import SkewPoly
 
 from helpers import get_fq, quadratic_field, rational_field
@@ -170,6 +178,66 @@ def test_certify_non_cm_flags_cm_module():
     cert = certify_non_cm(phi, 3)
     assert cert.covers(phi, 2) and not cert.covers(phi, 4)
     assert cert.dimension == 2
+
+
+@pytest.mark.parametrize("fq", [get_fq(2), F3, get_fq(2, (1, 1, 1)), get_fq(5),
+                                get_fq(3, (1, 0, 1))], ids=lambda f: f"q{f.q}")
+def test_frobenius_quotients_of_closure_denominators(fq):
+    # D_i = (T^(q^i) - T) D_{i-1}^q, i <= 4: the quotients D^(q^k) / D,
+    # k <= 2, against long division where it is cheap, else against the
+    # product; D_4^(q^2) over F_9 (degree 2.1e6) is left out
+    T = fq.poly_T()
+    d = fq.poly_one
+    for i in range(1, 5):
+        d = (T.frob_power(i) - T) * d.frob_power(1)
+        kmax = 2 if d.degree * fq.q ** 2 <= 300_000 else 1
+        for k, quo in enumerate(frobenius_quotients(d, kmax), start=1):
+            top = d.frob_power(k)
+            if top.degree <= 20_000:
+                assert divmod(top, d) == (quo, fq.poly_zero), (i, k)
+            else:
+                assert quo * d == top, (i, k)
+
+
+def _strip_content_by_scaling(a):
+    """Reference: the same clearing through RatFunc products, each of which
+    recomputes its own gcds."""
+    if a.is_zero():
+        return a
+    field = a.field
+    fq = field.fq
+    den_lcm = fq.poly_one
+    for c in a.coeffs:
+        for r in c.coords:
+            if not r.den.is_one():
+                den_lcm = (den_lcm * r.den) // den_lcm.gcd(r.den)
+    if not den_lcm.is_one():
+        scale = RatFunc.from_poly(den_lcm)
+        a = SkewPoly(field, [c.scale(scale) for c in a.coeffs])
+    content = fq.poly_zero
+    for c in a.coeffs:
+        for r in c.coords:
+            content = content.gcd(r.num)
+            if content.is_one():
+                return a
+    inv = RatFunc.from_poly(content).inverse()
+    return SkewPoly(field, [c.scale(inv) for c in a.coeffs])
+
+
+@pytest.mark.parametrize("field", [Q3, K3], ids=["e1", "e2"])
+def test_strip_content_against_ratfunc_scaling(field):
+    rng = random.Random(field.e)
+    seen_content = seen_zero = 0
+    for trial in range(120):
+        a = random_skew(rng, field, 3, 3, poly_only=trial % 3 == 0)
+        if trial % 2:
+            # a common factor, so that the content is not 1
+            a = a.scale_left(field.from_poly(random_fq_poly(rng, field.fq, 2)))
+        want = _strip_content_by_scaling(a)
+        assert _strip_content(a) == want, a
+        seen_zero += any(r.is_zero() for c in a.coeffs for r in c.coords)
+        seen_content += want != a
+    assert seen_zero and seen_content
 
 
 def test_certificate_cache_refuses_negative_bound():

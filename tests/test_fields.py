@@ -20,6 +20,7 @@ from dforge.fields import (
     _trim,
     fq_arith,
     poly_divmod,
+    primitive_numerators,
 )
 from dforge.ideals import (
     IdealA,
@@ -76,7 +77,11 @@ def test_poly_divmod_examples():
     assert quo.is_zero() and rem == T
 
 
-@pytest.mark.parametrize("fq", [F3, F9])
+# F_512 has no addition table: its kernels take the digit loop
+F512 = get_fq(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("fq", [F3, F9, F4, F512])
 def test_poly_divmod_roundtrip_random(fq):
     rng = random.Random(3)
     for _ in range(300):
@@ -85,6 +90,43 @@ def test_poly_divmod_roundtrip_random(fq):
         quo, rem = poly_divmod(a, b)
         assert quo * b + rem == a
         assert rem.degree < b.degree
+
+
+def test_divmod_by_constant():
+    a = F9.poly([1, 2, 0, 7, 5])
+    c = F9.poly([F9.elem_packed(4)])
+    quo, rem = divmod(a, c)
+    assert rem.is_zero() and quo * c == a
+    quo, rem = divmod(F9.poly_zero, c)
+    assert quo.is_zero() and rem.is_zero()
+
+
+@pytest.mark.parametrize("fq", [F3, F9, F4, get_fq(5)], ids=lambda f: f"q{f.q}")
+def test_poly_pow_against_repeated_products(fq):
+    rng = random.Random(fq.q)
+    bases = [fq.poly_zero, fq.poly_one]
+    bases += [random_fq_poly(rng, fq, 6, nonzero=True) for _ in range(4)]
+    for a in bases:
+        products = [fq.poly_one]
+        for _ in range(37):
+            products.append(products[-1] * a)
+        for e in (0, 1, 2, 37):
+            assert a ** e == products[e], (a, e)
+    with pytest.raises(ValueError):
+        fq.poly_T() ** -1
+
+
+def test_primitive_numerators_cases():
+    T = F3.poly_T()
+    r = F3.rat
+    # (T+2)/T, 0, (T+2)^2/(T+1): common denominator T(T+1), then content T+2
+    rats = [r([2, 1], [0, 1]), F3.rat_zero, r([1, 1, 1], [1, 1])]
+    nums = primitive_numerators(F3, rats)
+    assert nums == [F3.poly([1, 1]), F3.poly_zero, F3.poly([0, 2, 1])]
+    # already primitive: returned as given; all zero stays zero
+    prim = [F3.poly([1, 1]), T]
+    assert primitive_numerators(F3, [RatFunc.from_poly(x) for x in prim]) == prim
+    assert primitive_numerators(F3, [F3.rat_zero] * 2) == [F3.poly_zero] * 2
 
 
 def test_poly_mul_against_naive():
