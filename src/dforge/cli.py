@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from .errors import AlgebraError, EvenCharacteristic, ParseError
 from .extfield import ExtField, GaloisDatum
-from .fields import Fq
+from .fields import Fq, is_irreducible
 from .drinfeld import CertificateCache, conjugate_module, j_invariant, make_module
 from .ideals import IdealA
 from .isogeny import (
@@ -393,8 +393,6 @@ def _prime_power(q):
 def _find_modulus(p, d):
     if d == 1:
         return None
-    from .ideals import is_irreducible
-
     fp = Fq(p)
     # deterministic scan over monic candidates
     total = p ** d

@@ -7,10 +7,11 @@ operations each.
 """
 from __future__ import annotations
 
-from itertools import product as _iproduct
+from functools import partial
 
 from .errors import DivisionByZero, FieldMismatch, InvalidAutomorphism
 from .fields import RatFunc
+from .groups import CyclicProduct
 
 __all__ = ["ExtField", "ExtFieldElem", "GaloisDatum", "apply_automorphism", "ext_frobenius"]
 
@@ -320,61 +321,30 @@ def ext_frobenius(a):
     return a.frob()
 
 
-class GaloisDatum:
+class GaloisDatum(CyclicProduct):
     """An explicit finite abelian quotient of G_K acting on K = Q[x]/(f).
 
     Generators are given by name, order, and the image of the extension
-    generator x; all compositions are precomputed and validated (images are
-    roots of f, generators commute, orders hold).
+    generator x; the images of x under all group elements are precomputed
+    and the presentation is validated (images are roots of f, generators
+    commute, orders hold).
     """
 
     def __init__(self, field, generators):
         self.field = field
         self.generators = tuple(generators)  # (name, order, image)
-        names = [g[0] for g in self.generators]
-        if len(set(names)) != len(names):
-            raise InvalidAutomorphism("duplicate generator names")
+        super().__init__((g[0] for g in self.generators),
+                         (g[1] for g in self.generators))
         for name, order, image in self.generators:
             if image.field is not field:
                 raise FieldMismatch("generator image lives in another field")
-            if order < 1:
-                raise InvalidAutomorphism(f"generator {name} has order < 1")
             if not _qpoly_eval(list(field.f), image).is_zero():
                 raise InvalidAutomorphism(f"image of {name} is not a root of f")
-        self._x_images = {}
-        self._precompute()
-        self._validate()
-
-    @property
-    def orders(self):
-        return tuple(g[1] for g in self.generators)
-
-    @property
-    def names(self):
-        return tuple(g[0] for g in self.generators)
-
-    def identity(self):
-        return (0,) * len(self.generators)
-
-    def elements(self):
-        return list(_iproduct(*(range(o) for o in self.orders)))
-
-    def generator_element(self, name):
-        out = [0] * len(self.generators)
-        for i, (gname, order, _) in enumerate(self.generators):
-            if gname == name:
-                out[i] = 1 % order
-                return tuple(out)
-        raise KeyError(name)
-
-    def compose(self, s, t):
-        return tuple((a + b) % o for a, b, o in zip(s, t, self.orders))
-
-    def inverse_element(self, s):
-        return tuple((-a) % o for a, o in zip(s, self.orders))
-
-    def is_cyclic(self):
-        return len(self.generators) <= 1
+        maps = [partial(self._apply_with_image, image)
+                for _, _, image in self.generators]
+        x = field.gen()
+        self.check_action(maps, (x,), InvalidAutomorphism)
+        self._x_images = {s: self.act(maps, s, x) for s in self.elements()}
 
     def _apply_with_image(self, ximg, a):
         # ring map fixing Q, x -> ximg, by Horner
@@ -386,44 +356,6 @@ class GaloisDatum:
             acc = acc * ximg + fld.from_rat(c)
         return acc
 
-    def _precompute(self):
-        fld = self.field
-        x = fld.gen()
-        self._x_images[self.identity()] = x
-        # walk the product group one generator at a time
-        frontier = [self.identity()]
-        for i, (_, order, image) in enumerate(self.generators):
-            new = []
-            for elem in frontier:
-                cur = self._x_images[elem]
-                for k in range(1, order):
-                    step = list(elem)
-                    step[i] = k
-                    cur = self._apply_with_image(image, cur)
-                    self._x_images[tuple(step)] = cur
-                    new.append(tuple(step))
-            frontier += new
-
-    def _validate(self):
-        fld = self.field
-        x = fld.gen()
-        for i, (name, order, image) in enumerate(self.generators):
-            # order relation: applying the generator `order` times is identity
-            cur = x
-            for _ in range(order):
-                cur = self._apply_with_image(image, cur)
-            if cur != x:
-                raise InvalidAutomorphism(f"generator {name} does not have order {order}")
-        # commutativity on x for each generator pair
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                si = self.generator_element(self.names[i])
-                sj = self.generator_element(self.names[j])
-                a = self.apply(si, self._x_images[sj])
-                b = self.apply(sj, self._x_images[si])
-                if a != b:
-                    raise InvalidAutomorphism("generators do not commute")
-
     def apply(self, element, a):
         """Apply the automorphism indexed by an exponent tuple to a in K."""
         if a.field is not self.field:
@@ -432,9 +364,6 @@ class GaloisDatum:
         if element == self.identity():
             return a
         return self._apply_with_image(self._x_images[element], a)
-
-    def apply_name(self, name, a):
-        return self.apply(self.generator_element(name), a)
 
     def is_fixed(self, a):
         gens = [self.generator_element(n) for n in self.names]

@@ -28,6 +28,31 @@ def _is_prime(n):
     return True
 
 
+def is_irreducible(f):
+    """Rabin irreducibility: T^(q^n) = T mod f and no prime-level coincidence."""
+    if f.is_zero() or f.degree < 1:
+        return False
+    n = f.degree
+    if n == 1:
+        return True
+    T = f.field.poly_T()
+
+    def next_frob(r):
+        return r.frob_power(1) % f
+
+    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
+    r = T % f
+    images = {}
+    for i in range(1, n + 1):
+        r = next_frob(r)
+        images[i] = r
+    for p in primes:
+        g = (images[n // p] - T % f).gcd(f)
+        if not g.is_one():
+            return False
+    return (images[n] - T % f).is_zero()
+
+
 class Fq:
     """The finite field F_q, q = p^d, with its polynomial ring A = F_q[T].
 
@@ -49,10 +74,10 @@ class Fq:
         self.modulus = modulus
         if self.q > 65536:
             raise ValueError("field too large for table-based arithmetic")
+        if self.d > 1 and not is_irreducible(Fq(p).poly(modulus)):
+            raise ValueError("modulus is reducible over F_p")
         self._pp = p ** np.arange(self.d, dtype=np.int64)
         self._build_reduction()
-        if self.d > 1 and not self._modulus_irreducible():
-            raise ValueError("modulus is reducible over F_p")
         self._build_tables()
         self.zero = FqElem(self, 0)
         self.one = FqElem(self, 1)
@@ -89,77 +114,6 @@ class Fq:
         conv = np.convolve(da, db) % p
         digits = (conv @ self._red[: len(conv)]) % p
         return int(digits @ self._pp)
-
-    def _modulus_irreducible(self):
-        # Rabin test over F_p on the defining modulus, via plain int polys
-        p, d = self.p, self.d
-        mod = list(self.modulus)
-
-        def pmulmod(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-            while len(out) >= len(mod):
-                lead = out[-1]
-                if lead:
-                    shift = len(out) - len(mod)
-                    for i, c in enumerate(mod):
-                        out[shift + i] = (out[shift + i] - lead * c) % p
-                out.pop()
-            while out and out[-1] == 0:
-                out.pop()
-            return out or [0]
-
-        def frob(a):
-            r = [1]
-            base = a
-            e = p
-            while e:
-                if e & 1:
-                    r = pmulmod(r, base)
-                base = pmulmod(base, base)
-                e >>= 1
-            return r
-
-        def pgcd_nontrivial(a):
-            # gcd(a, modulus) nontrivial?
-            u, v = mod[:], a[:]
-            while v != [0]:
-                # u mod v
-                while len(u) >= len(v) and u != [0]:
-                    lead = u[-1] * pow(v[-1], -1, p) % p
-                    shift = len(u) - len(v)
-                    for i, c in enumerate(v):
-                        u[shift + i] = (u[shift + i] - lead * c) % p
-                    while len(u) > 1 and u[-1] == 0:
-                        u.pop()
-                    if u == [0]:
-                        break
-                u, v = v, u
-            return len(u) > 1
-
-        # x^(p^i) chain with gcd checks at proper prime-divisor levels
-        cur = [0, 1]
-        for i in range(1, d + 1):
-            cur = frob(cur)
-            if i < d and d % i == 0 and _is_prime(d // i):
-                diff = cur[:]
-                if len(diff) < 2:
-                    diff = diff + [0]
-                diff[1] = (diff[1] - 1) % p
-                while len(diff) > 1 and diff[-1] == 0:
-                    diff.pop()
-                if diff != [0] and pgcd_nontrivial(diff):
-                    return False
-        diff = cur[:]
-        if len(diff) < 2:
-            diff = diff + [0]
-        diff[1] = (diff[1] - 1) % p
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        return diff == [0]
 
     def _build_tables(self):
         p, d, q = self.p, self.d, self.q

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import (PolyA, RatFunc, _is_prime, poly_to_text,
+from .fields import (PolyA, RatFunc, is_irreducible, poly_to_text,
                      primitive_numerators)
 
 _DEFAULT_SEED = 0xD4
@@ -93,32 +93,6 @@ class IdealA:
 
 def unit_ideal(field):
     return IdealA(field.poly_one)
-
-
-def is_irreducible(f):
-    """Rabin irreducibility: T^(q^n) = T mod f and no prime-level coincidence."""
-    if f.is_zero() or f.degree < 1:
-        return False
-    n = f.degree
-    if n == 1:
-        return True
-    field = f.field
-    T = field.poly_T()
-
-    def next_frob(r):
-        return r.frob_power(1) % f
-
-    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
-    r = T % f
-    images = {}
-    for i in range(1, n + 1):
-        r = next_frob(r)
-        images[i] = r
-    for p in primes:
-        g = (images[n // p] - T % f).gcd(f)
-        if not g.is_one():
-            return False
-    return (images[n] - T % f).is_zero()
 
 
 def squarefree_decomposition(f):

@@ -147,12 +147,7 @@ def al_apply(w, x, certificate_factory=None):
     if w.is_identity():
         return x
     phi = iso.source
-
-    def factory(module, bound):
-        if certificate_factory is not None:
-            return certificate_factory(module, bound)
-        return certify_non_cm(module, bound)
-
+    factory = certificate_factory or certify_non_cm
     a_m = w.m.gen
     mu_m = right_gcd(iso.mu, phi_a(phi, a_m))
     phi_m = target_of(phi, mu_m)
@@ -183,11 +178,7 @@ def diagram_closure_check(w, x, certificate_factory=None):
     eta = y.iso.mu
     eta_m = right_gcd(eta, phi_a(phi_m, a_m))
     # dual of mu_m: phi_m -> phi
-    def factory(module, bound):
-        if certificate_factory is not None:
-            return certificate_factory(module, bound)
-        return certify_non_cm(module, bound)
-
+    factory = certificate_factory or certify_non_cm
     mu_m_iso = verify_isogeny(phi, phi_m, mu_m, factory(phi, mu_m.deg))
     hat = iso_dual(mu_m_iso, target_certificate=factory(phi_m, mu_m.deg))
     # hat.mu = lambda * eta_m for a scalar lambda in K^x

@@ -117,12 +117,6 @@ class SkewPoly:
         inv = self.lead().inverse()
         return self.scale_left(inv)
 
-    def tau_shift(self, k):
-        """tau^k * self is not this; this is self * tau^k (right shift)."""
-        if self.is_zero() or k == 0:
-            return self
-        return SkewPoly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def tau_valuation(self):
         if self.is_zero():
             return -1
@@ -234,10 +228,10 @@ def right_gcd(a, b):
     return a.monic()
 
 
-def right_gcd_bezout(a, b):
-    """(g, u, v) with g = u*a + v*b the monic right gcd (left coefficients)."""
-    if a.is_zero() and b.is_zero():
-        raise BothZero("right gcd of two zero skew polynomials")
+def _extended_right_euclid(a, b):
+    """(r, u0, v0, u1): r = u0*a + v0*b is the last nonzero remainder of
+    right division (not made monic) and u1*a + v1*b = 0 for the next
+    cofactors, so u1*a is a least common left multiple of a and b."""
     field = a.field
     one = SkewPoly.from_scalar(field.one)
     zero = SkewPoly(field, ())
@@ -249,7 +243,15 @@ def right_gcd_bezout(a, b):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    if not r0.is_zero() and not r0.lead().is_one():
+    return r0, u0, v0, u1
+
+
+def right_gcd_bezout(a, b):
+    """(g, u, v) with g = u*a + v*b the monic right gcd (left coefficients)."""
+    if a.is_zero() and b.is_zero():
+        raise BothZero("right gcd of two zero skew polynomials")
+    r0, u0, v0, _ = _extended_right_euclid(a, b)
+    if not r0.lead().is_one():
         c = SkewPoly.from_scalar(r0.lead().inverse())
         r0, u0, v0 = c * r0, c * u0, c * v0
     return r0, u0, v0
@@ -259,18 +261,7 @@ def lclm(a, b):
     """Least common left multiple; its kernel is the sum of the kernels."""
     if a.is_zero() or b.is_zero():
         raise BothZero("lclm needs two nonzero skew polynomials")
-    field = a.field
-    one = SkewPoly.from_scalar(field.one)
-    zero = SkewPoly(field, ())
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    while not r1.is_zero():
-        q, r = right_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    # u1 * a = -(v1 * b) is the minimal common left multiple
-    out = (u1 * a).monic()
-    return out
+    return (_extended_right_euclid(a, b)[3] * a).monic()
 
 
 def skew_eval(a, lam):

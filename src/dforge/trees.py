@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .errors import (
     AsymmetricMatrix,
@@ -25,10 +25,11 @@ from .errors import (
     NotTreeMetric,
     OrbitNotClosed,
 )
+from .groups import CyclicProduct
 from .ideals import IdealA, unit_ideal
 
 
-class OrbitGroup:
+class OrbitGroup(CyclicProduct):
     """Finite abelian group presented by generators acting on labels."""
 
     def __init__(self, generators):
@@ -36,59 +37,20 @@ class OrbitGroup:
         self.generators = tuple(
             (name, int(order), tuple(perm)) for name, order, perm in generators
         )
-        names = [g[0] for g in self.generators]
-        if len(set(names)) != len(names):
-            raise NotGInvariant("duplicate generator names")
-        for name, order, perm in self.generators:
+        super().__init__((g[0] for g in self.generators),
+                         (g[1] for g in self.generators))
+        n = len(self.generators[0][2]) if self.generators else 0
+        for name, _, perm in self.generators:
             if sorted(perm) != list(range(len(perm))):
                 raise NotGInvariant(f"generator {name} is not a permutation")
-            if order < 1:
-                raise NotGInvariant(f"generator {name} has order < 1")
-            if self.generators and len(perm) != len(self.generators[0][2]):
+            if len(perm) != n:
                 raise NotGInvariant("permutation lengths differ")
-            cur = list(range(len(perm)))
-            for _ in range(order):
-                cur = [perm[i] for i in cur]
-            if cur != list(range(len(perm))):
-                raise NotGInvariant(f"generator {name} does not have order {order}")
-        for (n1, _, p1), (n2, _, p2) in combinations(self.generators, 2):
-            ab = [p1[p2[i]] for i in range(len(p1))]
-            ba = [p2[p1[i]] for i in range(len(p1))]
-            if ab != ba:
-                raise NotGInvariant(f"generators {n1} and {n2} do not commute")
-
-    @property
-    def names(self):
-        return tuple(g[0] for g in self.generators)
-
-    @property
-    def orders(self):
-        return tuple(g[1] for g in self.generators)
-
-    def identity(self):
-        return (0,) * len(self.generators)
-
-    def elements(self):
-        return list(iproduct(*(range(o) for o in self.orders)))
-
-    def generator_element(self, name):
-        out = [0] * len(self.generators)
-        for i, (gname, order, _) in enumerate(self.generators):
-            if gname == name:
-                out[i] = 1 % order
-                return tuple(out)
-        raise KeyError(name)
-
-    def compose(self, s, t):
-        return tuple((a + b) % o for a, b, o in zip(s, t, self.orders))
+        self._maps = [perm.__getitem__ for _, _, perm in self.generators]
+        self.check_action(self._maps, range(n), NotGInvariant)
+        self._n = n
 
     def label_permutation(self, element):
-        n = len(self.generators[0][2]) if self.generators else 0
-        perm = list(range(n))
-        for (name, order, gperm), k in zip(self.generators, element):
-            for _ in range(k % order):
-                perm = [gperm[i] for i in perm]
-        return tuple(perm)
+        return tuple(self.act(self._maps, element, i) for i in range(self._n))
 
 
 @dataclass
@@ -161,6 +123,21 @@ def validate_orbit(datum):
     return datum
 
 
+def _bfs(adj, start):
+    """Distances from start, -1 for unreachable vertices."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    dq = deque((start,))
+    while dq:
+        v = dq.popleft()
+        dv = dist[v]
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dv + 1
+                dq.append(w)
+    return dist
+
+
 @dataclass
 class SubTree:
     """Unit-edge realization of one per-prime metric.
@@ -182,17 +159,7 @@ class SubTree:
         return len(self.adj)
 
     def bfs(self, start):
-        dist = [-1] * len(self.adj)
-        dist[start] = 0
-        dq = deque((start,))
-        while dq:
-            v = dq.popleft()
-            dv = dist[v]
-            for w in self.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    dq.append(w)
-        return dist
+        return _bfs(self.adj, start)
 
     def degree(self, v):
         return len(self.adj[v])
@@ -252,19 +219,6 @@ def reconstruct_subtree(datum, p):
     class_vertex = [0]
     dists = {0: [0]}  # class index -> dist list over vertices
 
-    def bfs_from(v):
-        dist = [-1] * len(adj)
-        dist[v] = 0
-        dq = deque((v,))
-        while dq:
-            x = dq.popleft()
-            dx = dist[x]
-            for w in adj[x]:
-                if dist[w] < 0:
-                    dist[w] = dx + 1
-                    dq.append(w)
-        return dist
-
     for c in range(1, nc):
         placed = list(range(c))
         u0 = 0
@@ -303,7 +257,7 @@ def reconstruct_subtree(datum, p):
                 dists[u].append(dists[u][cur] + 1)
             cur = new
         class_vertex.append(cur)
-        dists[c] = bfs_from(cur)
+        dists[c] = _bfs(adj, cur)
 
     # minimality: every terminal vertex carries a class
     class_set = set(class_vertex)
@@ -356,47 +310,30 @@ def reconstruct_subtree(datum, p):
     )
 
 
-def tree_center(tree, path_cap=1000):
-    """Midpoint of the diameter: a vertex for even diameter, else an edge.
+def tree_center(tree):
+    """Midpoint of a diameter: a vertex for even diameter, else an edge.
 
-    All diameter endpoint pairs (up to the cap) are checked to give the
-    same midpoint; the paper's uniqueness is verified, not assumed.
+    Double sweep: x is farthest from vertex 0 and y farthest from x, so the
+    x-y path is a diameter.  Every diameter of a tree has the same midpoint
+    (Jordan), so the input is first checked to be a tree: connected, with
+    n - 1 edges.
     """
-    n = tree.n_vertices
-    if n == 1:
-        return Center("vertex", (0,))
-    dist = [tree.bfs(v) for v in range(n)]
-    diameter = max(max(row) for row in dist)
-    centers = set()
-    pairs = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            if dist[x][y] != diameter:
-                continue
-            pairs += 1
-            if pairs > path_cap:
-                break
-            half = diameter // 2
-            if diameter % 2 == 0:
-                mids = [v for v in range(n)
-                        if dist[x][v] == half and dist[y][v] == half]
-                if len(mids) != 1:
-                    raise InternalInconsistency("midpoint vertex not unique")
-                centers.add(("vertex", (mids[0],)))
-            else:
-                a = [v for v in range(n)
-                     if dist[x][v] == half and dist[y][v] == half + 1]
-                b = [v for v in range(n)
-                     if dist[x][v] == half + 1 and dist[y][v] == half]
-                if len(a) != 1 or len(b) != 1 or b[0] not in tree.adj[a[0]]:
-                    raise InternalInconsistency("midpoint edge not unique")
-                centers.add(("edge", tuple(sorted((a[0], b[0])))))
-        if pairs > path_cap:
-            break
-    if len(centers) != 1:
-        raise InternalInconsistency("diameter paths disagree on the center")
-    kind, verts = centers.pop()
-    return Center(kind, verts)
+    adj = tree.adj
+    n = len(adj)
+    d0 = _bfs(adj, 0)
+    if min(d0) < 0 or sum(len(nbrs) for nbrs in adj) != 2 * (n - 1):
+        raise InternalInconsistency("subtree is not a tree")
+    x = max(range(n), key=d0.__getitem__)
+    dx = _bfs(adj, x)
+    y = max(range(n), key=dx.__getitem__)
+    dy = _bfs(adj, y)
+    diameter, half = dx[y], dx[y] // 2
+    # the x-y path is the set of v with dx[v] + dy[v] == diameter
+    a = next(v for v in range(n) if dx[v] == half and dy[v] == diameter - half)
+    if diameter % 2 == 0:
+        return Center("vertex", (a,))
+    b = next(v for v in range(n) if dx[v] == half + 1 and dy[v] == half)
+    return Center("edge", tuple(sorted((a, b))))
 
 
 @dataclass
@@ -455,23 +392,21 @@ def classify(datum, fq=None):
         else:
             psi[p] = center.vertices[0]
             psi_prime[p] = center.vertices[0]
+    group = datum.group
+    vertex_maps = {p: [trees[p].actions[name].__getitem__ for name in group.names]
+                   for p in datum.support}
     m_elements = {}
-    for element in datum.group.elements():
+    for element in group.elements():
         m = unit_ideal(fq)
         for p in datum.support:
             center = centers[p]
             if center.kind != "edge":
                 continue
             a, b = center.vertices
-            # compose the generator actions per the element's exponents
-            act = list(range(trees[p].n_vertices))
-            for name, k in zip(datum.group.names, element):
-                gen_act = trees[p].actions[name]
-                for _ in range(k):
-                    act = [gen_act[v] for v in act]
-            if act[a] == b:
+            image = group.act(vertex_maps[p], element, a)
+            if image == b:
                 m = m * p
-            elif act[a] != a:
+            elif image != a:
                 raise InternalInconsistency("center edge not stabilized")
         m_elements[element] = m
     m_generators = {
@@ -618,8 +553,7 @@ def _primitive_reduce(iso, certificate_factory):
                 changed = True
                 break
     cert = certificate_factory(src, mu.deg)
-    from .isogeny import verify_isogeny as vf
-    return vf(src, iso.target, mu, cert)
+    return verify_isogeny(src, iso.target, mu, cert)
 
 
 def materialize_center(datum, result, certificate_factory=None):
@@ -630,32 +564,19 @@ def materialize_center(datum, result, certificate_factory=None):
     prime at a time.  Raises NotRealizable when a needed concrete leg is
     missing.
     """
-    from .drinfeld import certify_non_cm, phi_a
+    from .drinfeld import CertificateCache
     from .isogeny import (
         compose as iso_compose,
         dual as iso_dual,
-        factor_prime_power,
         project_p,
         verify_isogeny,
     )
-    from .skew import SkewPoly, right_divmod
+    from .skew import SkewPoly
 
     if not datum.modules:
         raise NotRealizable("orbit datum carries no concrete modules")
     base = datum.modules[0]
-    cert_cache = {}
-
-    def factory(module, bound):
-        key = module
-        cached = cert_cache.get(key)
-        if cached is not None and cached.covers(module, bound):
-            return cached
-        if certificate_factory is not None:
-            cert = certificate_factory(module, bound)
-        else:
-            cert = certify_non_cm(module, bound)
-        cert_cache[key] = cert
-        return cert
+    factory = certificate_factory or CertificateCache()
 
     def leg(i):
         """Concrete primitive isogeny base -> conjugate i."""

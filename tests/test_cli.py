@@ -199,6 +199,18 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "position" in out.stderr
 
 
+def test_cli_reducible_fq_modulus_is_parse_error(tmp_path, capsys):
+    # x^2 - 1 = (x - 1)(x + 1) over F_3
+    doc = {"field": {"p": 3, "fq_modulus": [2, 0, 1]},
+           "modules": {"phi": "T + [1,1]*t + t^2"}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["j", "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "parse error:" in out.err and "modulus is reducible" in out.err
+
+
 def test_cli_domain_error_exit_code(tmp_path):
     doc = example_doc()
     # not an isogeny: scalar 1 between distinct modules

@@ -1,4 +1,5 @@
 """Base algebra: the tower F_p < F_q < A < Q, ideals, and Galois actions."""
+import itertools
 import random
 
 import numpy as np
@@ -366,6 +367,33 @@ def test_invalid_automorphism_rejected():
     K = quadratic_field(3)
     with pytest.raises(InvalidAutomorphism):
         GaloisDatum(K, [("s", 2, K.T())])  # T is not a root of x^2 - (T+1)
+
+
+@pytest.mark.parametrize("case", ["duplicate names", "order < 1", "wrong order"])
+def test_galois_presentation_checks(case):
+    K = quadratic_field(3)
+    alpha = K.gen()
+    gens = {
+        "duplicate names": [("s", 2, -alpha), ("s", 2, -alpha)],
+        "order < 1": [("s", 0, -alpha)],
+        "wrong order": [("s", 3, -alpha)],
+    }[case]
+    with pytest.raises(InvalidAutomorphism):
+        GaloisDatum(K, gens)
+
+
+@pytest.mark.parametrize("p,d,count", [(2, 4, 3), (3, 2, 3), (2, 6, 9), (5, 2, 10)])
+def test_fq_accepts_exactly_the_irreducible_moduli(p, d, count):
+    # Gauss: (1/d) sum_{k | d} moebius(k) p^(d/k) monic irreducibles of degree d
+    accepted = 0
+    for low in itertools.product(range(p), repeat=d):
+        try:
+            Fq(p, low + (1,))
+        except ValueError as exc:
+            assert "reducible" in str(exc)
+        else:
+            accepted += 1
+    assert accepted == count
 
 
 def test_rational_roots_examples():

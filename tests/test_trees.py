@@ -6,6 +6,7 @@ import pytest
 from dforge.drinfeld import CertificateCache, conjugate_module, make_module
 from dforge.errors import (
     AsymmetricMatrix,
+    InternalInconsistency,
     MissingIsogeny,
     NotGInvariant,
     NotRealizable,
@@ -20,6 +21,7 @@ from dforge.trees import (
     Center,
     OrbitDatum,
     OrbitGroup,
+    SubTree,
     classify,
     materialize_center,
     minimality_check,
@@ -153,6 +155,46 @@ def test_tree_center_matches_pruning_oracle():
         got = tree_center(t)
         kind, verts = leaf_pruning_center(t.adj)
         assert got.kind == kind and tuple(sorted(got.vertices)) == verts
+
+
+@pytest.mark.parametrize("adj", [
+    [[1, 2], [0, 2], [0, 1]],          # a 3-cycle
+    [[1], [0], [3], [2]],              # two disjoint edges
+])
+def test_tree_center_rejects_non_trees(adj):
+    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
+                    actions={}, max_degree=max(len(a) for a in adj))
+    with pytest.raises(InternalInconsistency):
+        tree_center(graph)
+
+
+@pytest.mark.parametrize("gens", [
+    [("s", 2, (1, 0)), ("s", 2, (1, 0))],              # duplicate names
+    [("s", 0, (1, 0))],                                # order < 1
+    [("s", 3, (1, 0))],                                # wrong order
+    [("s", 2, (1, 1))],                                # not a permutation
+    [("s", 2, (1, 0)), ("t", 2, (1, 0, 2))],           # lengths differ
+    [("s", 2, (1, 0, 2)), ("t", 2, (0, 2, 1))],        # do not commute
+])
+def test_orbit_group_presentation_checks(gens):
+    with pytest.raises(NotGInvariant):
+        OrbitGroup(gens)
+
+
+def test_orbit_group_label_permutations_compose():
+    r = (1, 2, 0, 4, 5, 3)
+    s = (3, 4, 5, 0, 1, 2)
+    group = OrbitGroup([("r", 3, r), ("s", 2, s)])
+    assert group.label_permutation(group.generator_element("r")) == r
+    assert group.label_permutation(group.generator_element("s")) == s
+    elements = group.elements()
+    assert len(elements) == 6
+    for x in elements:
+        for y in elements:
+            px = group.label_permutation(x)
+            py = group.label_permutation(y)
+            composite = tuple(px[py[i]] for i in range(6))
+            assert group.label_permutation(group.compose(x, y)) == composite
 
 
 def test_classify_examples():
