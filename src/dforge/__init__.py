@@ -6,14 +6,8 @@ are handled through right divisibility, never as sets of torsion points.
 """
 
 from .errors import AlgebraError, ParseError
-from .fields import Fq, FqElem, PolyA, RatFunc, fq_arith, poly_divmod
-from .extfield import (
-    ExtField,
-    ExtFieldElem,
-    GaloisDatum,
-    apply_automorphism,
-    ext_frobenius,
-)
+from .fields import Fq, FqElem, PolyA, RatFunc
+from .extfield import ExtField, ExtFieldElem, GaloisDatum
 from .ideals import (
     IdealA,
     factor_ideal,

@@ -13,7 +13,7 @@ from .errors import DivisionByZero, FieldMismatch, InvalidAutomorphism
 from .fields import RatFunc
 from .groups import CyclicProduct
 
-__all__ = ["ExtField", "ExtFieldElem", "GaloisDatum", "apply_automorphism", "ext_frobenius"]
+__all__ = ["ExtField", "ExtFieldElem", "GaloisDatum"]
 
 
 def _qpoly_trim(c):
@@ -316,11 +316,6 @@ def _qpoly_eval(coeffs, point):
     return acc
 
 
-def ext_frobenius(a):
-    """a^q, computed through the precomputed x^q image (square-and-multiply)."""
-    return a.frob()
-
-
 class GaloisDatum(CyclicProduct):
     """An explicit finite abelian quotient of G_K acting on K = Q[x]/(f).
 
@@ -372,8 +367,3 @@ class GaloisDatum(CyclicProduct):
     def __repr__(self):
         gens = ", ".join(f"{n}^{o}" for n, o in zip(self.names, self.orders))
         return f"GaloisDatum({gens or 'trivial'})"
-
-
-def apply_automorphism(datum, element, a):
-    """Coefficient action used to build conjugates; a ring map fixing Q."""
-    return datum.apply(element, a)

@@ -1,12 +1,15 @@
 """Exact arithmetic for F_p < F_q < A = F_q[T] < Q = F_q(T).
 
 Elements of F_q are packed base-p integers; polynomials over F_q are
-little-endian numpy int64 arrays of packed values.  Multiplication in F_q
-goes through discrete log/exp tables, so all polynomial kernels work the
-same way for prime and non-prime q.  Products in F_q[T] are exact integer
-convolutions of F_p digits: short ones with all coefficients in F_p use
-np.convolve, all others go through Kronecker substitution into one Python
-integer product (`_kron_conv`).
+little-endian numpy int64 arrays of packed values.  Only `Fq.arr_axpy` and
+the scalar ops (`sadd`, `smul`, ...) know that packing: addition of packed
+values is done there, as integers mod p when d = 1, through an addition
+table when q <= 256 and digit by digit above, and every other vector kernel
+(addition, subtraction, negation, reduction) is a call to `arr_axpy`.
+Multiplication in F_q goes through discrete log/exp tables for every q.
+Products in F_q[T] are exact integer convolutions of F_p digits: short ones
+with all coefficients in F_p use np.convolve, all others go through
+Kronecker substitution into one Python integer product (`_kron_conv`).
 """
 from __future__ import annotations
 
@@ -116,7 +119,7 @@ class Fq:
         return int(digits @ self._pp)
 
     def _build_tables(self):
-        p, d, q = self.p, self.d, self.q
+        q = self.q
         # find a multiplicative generator by trial
         order = q - 1
         factors = []
@@ -147,23 +150,16 @@ class Fq:
         exp[order: 2 * order] = exp[:order]
         self._exp = exp
         self._log = log
-        # p-th root table (x -> x^(p^(d-1)))
-        self._proot = np.array(
-            [self._spow(v, p ** (d - 1)) for v in range(q)], dtype=np.int64
-        )
         if q <= 256:
             vals = np.arange(q, dtype=np.int64)
-            self._addtab = self.digit_add(vals[:, None], vals[None, :])
+            self._addtab = self._digit_add(vals[:, None], vals[None, :])
             self._multab = np.zeros((q, q), dtype=np.int64)
             for i in range(1, q):
                 li = self._log[i]
                 self._multab[i, 1:] = self._exp[li + self._log[np.arange(1, q)]]
-            self._negtab = np.array([self.digit_add(0, self._negate_digits(v)) for v in range(q)],
-                                    dtype=np.int64)
         else:
             self._addtab = None
             self._multab = None
-            self._negtab = None
 
     def _spow(self, a, e):
         r = 1
@@ -176,9 +172,8 @@ class Fq:
 
     # -- packed scalar arithmetic --------------------------------------------
 
-    def digit_add(self, a, b):
-        if self.d == 1:
-            return (a + b) % self.p
+    def _digit_add(self, a, b):
+        # (a // p^j + b // p^j) mod p is digit j of a + b
         out = 0
         for j in range(self.d):
             pj = int(self._pp[j])
@@ -188,19 +183,10 @@ class Fq:
     def sadd(self, a, b):
         if self._addtab is not None:
             return int(self._addtab[a, b])
-        return int(self.digit_add(a, b))
+        return int(self._digit_add(a, b))
 
     def sneg(self, a):
-        if self.d == 1:
-            return (-a) % self.p
-        return int(self.digit_add(0, self._negate_digits(a)))
-
-    def _negate_digits(self, a):
-        out = 0
-        for j in range(self.d):
-            pj = int(self._pp[j])
-            out += ((-(a // pj)) % self.p) * pj
-        return out
+        return self.smul(a, self.p - 1)
 
     def ssub(self, a, b):
         return self.sadd(a, self.sneg(b))
@@ -225,45 +211,38 @@ class Fq:
 
     # -- array kernels (little-endian packed coefficient vectors) ------------
 
+    def arr_axpy(self, x, c, y):
+        """x + c*y for equal-length arrays x, y and a packed scalar c.
+
+        The one array kernel that adds packed values; the result is not
+        trimmed.  (The packed value of -1 is p - 1.)
+        """
+        if self.d == 1:
+            return (x + c * y) % self.p
+        if self._addtab is not None:
+            return self._addtab[x, self._multab[y, c]]
+        return self._digit_add(x, self.arr_scalar_mul(y, c))
+
     def arr_add(self, a, b):
         n = max(len(a), len(b))
-        if self.d == 1:
-            out = np.zeros(n, dtype=np.int64)
-            out[: len(a)] = a
-            out[: len(b)] = (out[: len(b)] + b) % self.p
-            return _trim(out)
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(a)] = a
-        if self._addtab is not None:
-            out[: len(b)] = self._addtab[out[: len(b)], b]
-            return _trim(out)
-        pad = np.zeros(n, dtype=np.int64)
-        pad[: len(b)] = b
-        return _trim(self.digit_add(out, pad))
-
-    def arr_neg(self, a):
-        if self.d == 1:
-            return (-a) % self.p
-        if self._negtab is not None:
-            return self._negtab[a]
-        out = 0 * a
-        for j in range(self.d):
-            pj = int(self._pp[j])
-            out = out + ((-(a // pj)) % self.p) * pj
-        return out
+        return _trim(self.arr_axpy(_pad(a, n), 1, _pad(b, n)))
 
     def arr_sub(self, a, b):
-        return self.arr_add(a, self.arr_neg(b))
+        n = max(len(a), len(b))
+        return _trim(self.arr_axpy(_pad(a, n), self.p - 1, _pad(b, n)))
+
+    def arr_neg(self, a):
+        return self.arr_scalar_mul(a, self.p - 1)
 
     def arr_scalar_mul(self, a, c):
-        if c == 0 or len(a) == 0:
-            return _EMPTY
+        """c*a, not trimmed: for c != 0 a trimmed array stays trimmed."""
         if c == 1:
             return a
         out = np.zeros(len(a), dtype=np.int64)
-        nz = a != 0
-        out[nz] = self._exp[self._log[a[nz]] + self._log[c]]
-        return _trim(out)
+        if c:
+            nz = a != 0
+            out[nz] = self._exp[self._log[a[nz]] + self._log[c]]
+        return out
 
     def arr_mul(self, a, b):
         if len(a) == 0 or len(b) == 0:
@@ -298,14 +277,6 @@ class Fq:
         rem = self.arr_mod_inplace(r, b)
         return self.arr_scalar_mul(r[len(b) - 1:], self.sinv(int(b[-1]))), rem
 
-    def _scalar_mul_nocheck(self, a, c):
-        if self._multab is not None:
-            return self._multab[a, c]
-        out = np.zeros(len(a), dtype=np.int64)
-        nz = a != 0
-        out[nz] = self._exp[self._log[a[nz]] + self._log[c]]
-        return out
-
     def arr_mod_inplace(self, r, b):
         """r mod b where r is a private writable array; returns trimmed view.
 
@@ -313,30 +284,13 @@ class Fq:
         that coefficient in place, so r[len(b) - 1:] / lc(b) is the quotient.
         """
         nb = len(b)
-        inv_lead = self.sinv(int(b[-1]))
-        bneg = self.arr_neg(b[:-1])
-        addtab, multab = self._addtab, self._multab
-        if self.d == 1:
-            p = self.p
-            for k in range(len(r) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    r[k: k + nb - 1] = (r[k: k + nb - 1] + qc * bneg) % p
-        elif addtab is not None:
-            for k in range(len(r) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    r[k: k + nb - 1] = addtab[r[k: k + nb - 1], multab[bneg, qc]]
-        else:
-            for k in range(len(r) - nb, -1, -1):
-                c = int(r[k + nb - 1])
-                if c:
-                    qc = self.smul(c, inv_lead)
-                    r[k: k + nb - 1] = self.digit_add(
-                        r[k: k + nb - 1], self._scalar_mul_nocheck(bneg, qc)
-                    )
+        minus_inv_lead = self.sneg(self.sinv(int(b[-1])))
+        low = b[:-1]
+        axpy, smul = self.arr_axpy, self.smul
+        for k in range(len(r) - nb, -1, -1):
+            c = int(r[k + nb - 1])
+            if c:
+                r[k: k + nb - 1] = axpy(r[k: k + nb - 1], smul(c, minus_inv_lead), low)
         return _trim(r[: nb - 1])
 
     def arr_gcd(self, a, b):
@@ -367,16 +321,12 @@ class Fq:
         if isinstance(coords, FqElem):
             return coords
         if isinstance(coords, int):
-            return FqElem(self, coords % self.p if self.d == 1 else self._pack_int(coords))
+            return FqElem(self, coords % self.p)
         vec = [int(c) % self.p for c in coords]
         if len(vec) > self.d:
             raise ValueError("too many coordinates")
         vec += [0] * (self.d - len(vec))
         return FqElem(self, int(np.dot(vec, self._pp)))
-
-    def _pack_int(self, n):
-        # embed an integer through F_p
-        return n % self.p
 
     def elem_packed(self, val):
         """Element from its packed base-p value in [0, q)."""
@@ -413,6 +363,15 @@ def _trim(arr):
         return arr
     nz = np.flatnonzero(arr)
     return arr[: nz[-1] + 1] if len(nz) else arr[:0]
+
+
+def _pad(arr, n):
+    """arr followed by zeros up to length n."""
+    if len(arr) == n:
+        return arr
+    out = np.zeros(n, dtype=np.int64)
+    out[: len(arr)] = arr
+    return out
 
 
 # Shorter-operand length from which products with all coefficients in F_p
@@ -517,21 +476,6 @@ class FqElem:
         return "[" + ",".join(str(c) for c in self.coords) + "]"
 
 
-def fq_arith(a, b, op):
-    """Dispatch table for the four field operations on FqElem values."""
-    if a.field is not b.field:
-        raise FieldMismatch("operands from different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op-code {op!r}")
-
-
 class PolyA:
     """Element of A = F_q[T], little-endian, no trailing zero coefficient."""
 
@@ -605,6 +549,8 @@ class PolyA:
         return PolyA(self.field, self.field.arr_mul(self._c, other._c))
 
     def scale(self, c):
+        if not c:
+            return self.field.poly_zero
         return PolyA(self.field, self.field.arr_scalar_mul(self._c, c.val))
 
     def __divmod__(self, other):
@@ -659,14 +605,6 @@ class PolyA:
             np.concatenate((np.zeros(k, dtype=np.int64), self._c)),
         )
 
-    def eval_fq(self, c):
-        """Evaluate at an F_q point (Horner)."""
-        f = self.field
-        acc = 0
-        for v in self._c[::-1]:
-            acc = f.sadd(f.smul(acc, c.val), int(v))
-        return FqElem(f, acc)
-
     def qth_root(self):
         """Exact q-th root, or None when the polynomial is not a q-th power."""
         f = self.field
@@ -680,6 +618,16 @@ class PolyA:
         if not np.array_equal(probe, self._c):
             return None
         return PolyA(f, _trim(stride.copy()))
+
+    def pth_root(self):
+        """The p-th root of a polynomial in T^p: T^p -> T, and each
+        coefficient x -> x^(p^(d-1)), the inverse of x -> x^p on F_q."""
+        f = self.field
+        roots = self._c[:: f.p]
+        out = np.zeros(len(roots), dtype=np.int64)
+        nz = roots != 0
+        out[nz] = f._exp[(f._log[roots[nz]] * f.p ** (f.d - 1)) % (f.q - 1)]
+        return PolyA(f, out)
 
     def __repr__(self):
         return poly_to_text(self)
@@ -701,13 +649,6 @@ def poly_to_text(p):
             t = "T" if i == 1 else f"T^{i}"
             parts.append(t if cs == "1" else f"{cs}*{t}")
     return " + ".join(parts)
-
-
-def poly_divmod(a, b):
-    """Euclidean division in A; returns (quot, rem) with deg rem < deg b."""
-    if a.field is not b.field:
-        raise FieldMismatch("operands from different fields")
-    return divmod(a, b)
 
 
 def common_denominator(fq, rats):
@@ -780,9 +721,6 @@ class RatFunc:
 
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self):
-        return self.den.is_one()
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_one()

@@ -75,17 +75,8 @@ class IdealA:
                 return mult
         return 0
 
-    def is_prime(self, rng=None):
-        return is_irreducible(self.gen)
-
     def is_square_free(self, rng=None):
         return all(m == 1 for _, m in self.factors(rng))
-
-    def radical(self, rng=None):
-        out = unit_ideal(self.field)
-        for prime, _ in self.factors(rng):
-            out = out * prime
-        return out
 
     def __repr__(self):
         return f"({poly_to_text(self.gen)})"
@@ -112,7 +103,7 @@ def squarefree_decomposition(f):
         res = []
         d = g.derivative()
         if d.is_zero():
-            root = _pth_root_poly(g)
+            root = g.pth_root()
             for part, e in _sqf_char_p(root):
                 res.append((part, e * p))
             return res
@@ -127,26 +118,12 @@ def squarefree_decomposition(f):
             w, c = y, c // y
             i += 1
         if not c.is_one():
-            for part, e in _sqf_char_p(_pth_root_poly(c)):
+            for part, e in _sqf_char_p(c.pth_root()):
                 res.append((part, e * p))
         return res
 
     accumulate(f, 1)
     return [(part, e) for e, part in sorted(out.items(), key=lambda kv: kv[0])]
-
-
-def _pth_root_poly(g):
-    field = g.field
-    arr = g.array
-    import numpy as np
-
-    stride = arr[:: field.p].copy()
-    nz = stride != 0
-    stride[nz] = field._proot[stride[nz]]
-    n = len(stride)
-    while n and stride[n - 1] == 0:
-        n -= 1
-    return PolyA(field, stride[:n])
 
 
 def _distinct_degree(f):

@@ -160,8 +160,8 @@ def _fq_row_from_skew(r, m, e, fq, den_lcm, width):
 def _min_monic_dependence(rows, fq):
     """First index n with rows[n] in the span of rows[:n], plus coefficients.
 
-    Returns (n, combo) with rows[n] = sum combo[i] rows[i]; Gaussian
-    elimination over F_q with an augmented identity block.
+    Returns (n, combo) with rows[n] + sum combo[i] rows[i] = 0, the monic
+    relation; Gaussian elimination over F_q with an augmented identity block.
     """
     pivots = []  # (col, row, aug)
     for n, raw in enumerate(rows):
@@ -172,18 +172,16 @@ def _min_monic_dependence(rows, fq):
             c = int(row[col])
             if c:
                 neg = fq.sneg(c)
-                row = fq.digit_add(row, fq._scalar_mul_nocheck(prow, neg)) \
-                    if fq.d > 1 else (row + neg * prow) % fq.p
-                aug = fq.digit_add(aug, fq._scalar_mul_nocheck(paug, neg)) \
-                    if fq.d > 1 else (aug + neg * paug) % fq.p
+                row = fq.arr_axpy(row, neg, prow)
+                aug = fq.arr_axpy(aug, neg, paug)
         nz = np.nonzero(row)[0]
         if len(nz) == 0:
             # sum_i aug[i] rows[i] = 0 with aug[n] = 1: the monic coefficients
             return n, [int(aug[i]) for i in range(n)]
         col = int(nz[0])
         inv = fq.sinv(int(row[col]))
-        row = fq._scalar_mul_nocheck(row, inv)
-        aug = fq._scalar_mul_nocheck(aug, inv)
+        row = fq.arr_scalar_mul(row, inv)
+        aug = fq.arr_scalar_mul(aug, inv)
         pivots.append((col, row, aug))
     return None, None
 

@@ -218,53 +218,19 @@ def parse_poly(text, fq):
 
 # -- serialization -------------------------------------------------------------
 
-def fq_to_text(c):
-    if c.field.d == 1:
-        return str(c.val)
-    return "[" + ",".join(str(x) for x in c.coords) + "]"
-
-
-def rat_to_text(r):
-    if r.den.is_one():
-        return poly_text(r.num)
-    return f"({poly_text(r.num)}) / ({poly_text(r.den)})"
-
-
-def poly_text(p):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        cs = fq_to_text(c)
-        if i == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("T" if i == 1 else f"T^{i}")
-        else:
-            parts.append(f"{cs}*T" if i == 1 else f"{cs}*T^{i}")
-    return " + ".join(parts)
-
-
 def ext_to_text(a):
     if a.field.e == 1:
-        return rat_to_text(a.coords[0])
-    return [rat_to_text(c) for c in a.coords]
+        return repr(a.coords[0])
+    return [repr(c) for c in a.coords]
 
 
 def _scalar_inline(a):
     """Scalar coefficient rendered for use inside a skew term."""
+    def coord(c):
+        return repr(c) if c.is_constant() else f"({c!r})"
     if a.field.e == 1:
-        r = a.coords[0]
-        if r.den.is_one() and r.num.is_constant():
-            return fq_to_text(r.num.coeffs[0]) if not r.num.is_zero() else "0"
-        return f"({rat_to_text(r)})"
-    return "[" + ", ".join(
-        f"({rat_to_text(c)})" if not (c.den.is_one() and c.num.is_constant())
-        else (fq_to_text(c.num.coeffs[0]) if not c.num.is_zero() else "0")
-        for c in a.coords
-    ) + "]"
+        return coord(a.coords[0])
+    return "[" + ", ".join(coord(c) for c in a.coords) + "]"
 
 
 def skew_to_text(a):
@@ -285,7 +251,7 @@ def skew_to_text(a):
 
 
 def ideal_to_text(n):
-    return f"({poly_text(n.gen)})"
+    return repr(n)
 
 
 def parse_ideal(text, fq):

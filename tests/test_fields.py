@@ -1,26 +1,28 @@
 """Base algebra: the tower F_p < F_q < A < Q, ideals, and Galois actions."""
 import itertools
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dforge
 from dforge.errors import (
     BudgetExceeded,
     DivisionByZero,
     InvalidAutomorphism,
     ZeroPolynomial,
 )
-from dforge.extfield import GaloisDatum, apply_automorphism, ext_frobenius
+from dforge.extfield import GaloisDatum
 from dforge.fields import (
     _KRON_MIN_LEN,
     Fq,
+    PolyA,
     RatFunc,
     _kron_conv,
     _trim,
-    fq_arith,
-    poly_divmod,
     primitive_numerators,
 )
 from dforge.ideals import (
@@ -47,14 +49,14 @@ F4 = get_fq(2, (1, 1, 1))
 
 def test_fq_arith_mod3():
     two = F3.elem(2)
-    assert fq_arith(two, two, "add").val == 1
-    assert fq_arith(two, two, "mul").val == 1
+    assert (two + two).val == 1
+    assert (two * two).val == 1
     assert F3.elem(1).inverse().val == 1
 
 
 def test_fq_arith_division_by_zero():
     with pytest.raises(DivisionByZero):
-        fq_arith(F3.elem(1), F3.elem(0), "div")
+        F3.elem(1) / F3.elem(0)
 
 
 @pytest.mark.parametrize("fq", [F3, F9, F4, get_fq(5)])
@@ -72,9 +74,9 @@ def test_field_axioms_random_triples(fq):
 def test_poly_divmod_examples():
     T2p1 = F3.poly([1, 0, 1])
     T = F3.poly([0, 1])
-    quo, rem = poly_divmod(T2p1, T)
+    quo, rem = divmod(T2p1, T)
     assert quo == T and rem == F3.poly([1])
-    quo, rem = poly_divmod(T, F3.poly([0, 0, 1]))
+    quo, rem = divmod(T, F3.poly([0, 0, 1]))
     assert quo.is_zero() and rem == T
 
 
@@ -88,7 +90,7 @@ def test_poly_divmod_roundtrip_random(fq):
     for _ in range(300):
         a = random_fq_poly(rng, fq, 6)
         b = random_fq_poly(rng, fq, 4, nonzero=True)
-        quo, rem = poly_divmod(a, b)
+        quo, rem = divmod(a, b)
         assert quo * b + rem == a
         assert rem.degree < b.degree
 
@@ -153,8 +155,8 @@ KRON_SHAPES = [
 ]
 
 
-def _reference_tables(fq):
-    """Digit and multiplication tables of F_q from digit arithmetic."""
+def _reference_ops(fq):
+    """F_p digits, packing, and the product of F_q from the modulus alone."""
     p, d, mod = fq.p, fq.d, fq.modulus
 
     def digits(v):
@@ -174,6 +176,12 @@ def _reference_tables(fq):
                 prod[k - d + i] -= c * m
         return pack(prod[:d])
 
+    return digits, pack, mul
+
+
+def _reference_tables(fq):
+    """Digit and multiplication tables of F_q from digit arithmetic."""
+    digits, _, mul = _reference_ops(fq)
     q = fq.q
     digtab = np.array([digits(x) for x in range(q)])
     multab = np.array([[mul(x, y) for y in range(q)] for x in range(q)])
@@ -309,10 +317,10 @@ def test_ext_frobenius_examples():
     K = quadratic_field(3)
     alpha = K.gen()
     Tp1 = K.from_poly(F3.poly([1, 1]))
-    assert ext_frobenius(alpha) == alpha.scale(Tp1.coords[0])
-    assert ext_frobenius(K.T()) == K.from_poly(F3.poly([0, 0, 0, 1]))
+    assert alpha.frob() == alpha.scale(Tp1.coords[0])
+    assert K.T().frob() == K.from_poly(F3.poly([0, 0, 0, 1]))
     c = K.from_poly(F3.poly([2]))
-    assert ext_frobenius(c) == c
+    assert c.frob() == c
 
 
 def test_ext_frobenius_is_additive_and_multiplicative():
@@ -321,8 +329,8 @@ def test_ext_frobenius_is_additive_and_multiplicative():
     for _ in range(200):
         a = random_ext_elem(rng, K, 2, poly_only=False)
         b = random_ext_elem(rng, K, 2, poly_only=False)
-        assert ext_frobenius(a + b) == ext_frobenius(a) + ext_frobenius(b)
-        assert ext_frobenius(a * b) == ext_frobenius(a) * ext_frobenius(b)
+        assert (a + b).frob() == a.frob() + b.frob()
+        assert (a * b).frob() == a.frob() * b.frob()
         assert a.frob_power(1) == a ** K.fq.q
 
 
@@ -345,9 +353,9 @@ def test_apply_automorphism_worked_example_shape():
     alpha = K.gen()
     datum = GaloisDatum(K, [("s", 2, -alpha)])
     s = datum.generator_element("s")
-    out = apply_automorphism(datum, s, alpha + K.one)
+    out = datum.apply(s, alpha + K.one)
     assert out == K.one - alpha
-    assert apply_automorphism(datum, s, K.T()) == K.T()
+    assert datum.apply(s, K.T()) == K.T()
 
 
 def test_automorphism_is_ring_map_and_involution():
@@ -451,7 +459,148 @@ def test_divmod_hypothesis(acoeffs, bcoeffs):
     b = F3.poly(bcoeffs)
     if b.is_zero():
         with pytest.raises(DivisionByZero):
-            poly_divmod(a, b)
+            divmod(a, b)
         return
-    quo, rem = poly_divmod(a, b)
+    quo, rem = divmod(a, b)
     assert quo * b + rem == a and rem.degree < b.degree
+
+
+# One field per branch of the vector kernels: integers mod p (F_3, F_5, and
+# F_257, a prime field with no tables), the add/mul tables (F_4, F_9, F_27),
+# and the digit loop (F_512).
+KERNEL_FIELDS = [get_fq(3), get_fq(5), get_fq(257), F4, F9,
+                 get_fq(3, (1, 2, 0, 1)), F512]
+KERNEL_LENGTHS = [1, 5, 40, 400]
+
+
+class _ReferenceVectors:
+    """Vector arithmetic over F_q on F_p digit vectors and the modulus."""
+
+    def __init__(self, fq):
+        self.q = fq.q
+        self.digits, self.pack, mul = _reference_ops(fq)
+        self.minus_one = self.pack([-1])
+        self._products = {}
+        self._mul = mul
+
+    def mul(self, x, y):
+        key = (x, y)
+        if key not in self._products:
+            self._products[key] = self._mul(x, y)
+        return self._products[key]
+
+    def add(self, x, y):
+        return self.pack([u + v for u, v in zip(self.digits(x), self.digits(y))])
+
+    def axpy(self, x, c, y):
+        n = max(len(x), len(y))
+        x, y = list(x) + [0] * (n - len(x)), list(y) + [0] * (n - len(y))
+        return [self.add(u, self.mul(c, v)) for u, v in zip(x, y)]
+
+    def divmod(self, a, b):
+        inv = next(v for v in range(1, self.q) if self.mul(v, b[-1]) == 1)
+        r, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        for k in range(len(a) - len(b), -1, -1):
+            quo[k] = self.mul(r[k + len(b) - 1], inv)
+            r[k: k + len(b)] = self.axpy(r[k: k + len(b)], self.mul(self.minus_one, quo[k]), b)
+        return _trimmed(quo), _trimmed(r[: len(b) - 1])
+
+
+def _trimmed(values):
+    values = [int(v) for v in values]
+    while values and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def _random_vector(rng, fq, n):
+    """Length-n packed vector whose top coefficient is nonzero."""
+    out = rng.integers(0, fq.q, n)
+    out[-1] = rng.integers(1, fq.q)
+    return out
+
+
+@pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_vector_kernels_against_digit_reference(fq):
+    ref = _ReferenceVectors(fq)
+    rng = np.random.default_rng(fq.q)
+    for n in KERNEL_LENGTHS:
+        x, y = _random_vector(rng, fq, n), _random_vector(rng, fq, n)
+        scalars = [0, 1, ref.minus_one, int(rng.integers(1, fq.q))]
+        for c in scalars:
+            assert fq.arr_axpy(x, c, y).tolist() == ref.axpy(x, c, y), (n, c)
+        # x - x cancels to zero everywhere, and arr_axpy does not trim it
+        assert fq.arr_axpy(x, ref.minus_one, x).tolist() == [0] * n
+        short = y[: (n + 1) // 2]
+        for a, b in [(x, y), (x, short), (short, x), (x, x)]:
+            assert fq.arr_add(a, b).tolist() == _trimmed(ref.axpy(a, 1, b))
+            assert fq.arr_sub(a, b).tolist() == _trimmed(ref.axpy(a, ref.minus_one, b))
+        assert len(fq.arr_sub(x, x)) == 0
+        assert len(fq.arr_add(x, fq.arr_neg(x))) == 0
+        assert fq.arr_neg(x).tolist() == [ref.mul(ref.minus_one, int(u)) for u in x]
+        untrimmed = np.concatenate((x, np.zeros(3, dtype=np.int64)))
+        for c in scalars:
+            want = [ref.mul(c, int(u)) for u in untrimmed]
+            assert fq.arr_scalar_mul(untrimmed, c).tolist() == want, (n, c)
+
+
+@pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_divmod_against_digit_reference(fq):
+    ref = _ReferenceVectors(fq)
+    rng = np.random.default_rng(fq.q + 1)
+    for n in KERNEL_LENGTHS:
+        for m in (1, 5, 40):
+            a, b = _random_vector(rng, fq, n), _random_vector(rng, fq, m)
+            quo, rem = divmod(PolyA(fq, a), PolyA(fq, b))
+            assert (quo.array.tolist(), rem.array.tolist()) == ref.divmod(a, b), (n, m)
+            if m > n:
+                continue
+            # a multiple of b: the remainder cancels to zero
+            cofactor = _random_vector(rng, fq, n - m + 1)
+            multiple = [0] * n
+            for i, c in enumerate(cofactor):
+                multiple[i: i + m] = ref.axpy(multiple[i: i + m], int(c), b)
+            quo, rem = divmod(PolyA(fq, np.array(multiple)), PolyA(fq, b))
+            assert quo.array.tolist() == cofactor.tolist() and rem.is_zero(), (n, m)
+
+
+@pytest.mark.parametrize("fq", [F4, F9, get_fq(257), F512], ids=lambda f: f"q{f.q}")
+def test_pth_root_inverts_pth_power(fq):
+    rng = random.Random(fq.q)
+    for _ in range(10):
+        a = random_fq_poly(rng, fq, 5)
+        assert (a ** fq.p).pth_root() == a
+
+
+@pytest.mark.parametrize("fq", [F4, F9], ids=lambda f: f"q{f.q}")
+def test_factor_ideal_multiplicities_through_pth_roots(fq):
+    # f^p g has a p-th power left after the separable part: squarefree
+    # decomposition takes its p-th root
+    rng = random.Random(43)
+    primes = []
+    while len(primes) < 2:
+        f = random_fq_poly(rng, fq, 3, nonzero=True, monic=True)
+        if f.degree >= 1 and is_irreducible(f) and f not in primes:
+            primes.append(f)
+    f, g = primes
+    p = fq.p
+    for ef, eg in [(p, 1), (p + 1, p), (2 * p, 0)]:
+        want = {IdealA(f): ef}
+        if eg:
+            want[IdealA(g)] = eg
+        assert dict(factor_ideal(IdealA(f ** ef * g ** eg))) == want, (ef, eg)
+
+
+def test_packed_layout_stays_in_fields():
+    # only fields.py may read the packing of F_q values: its tables, its
+    # digit helpers and its powers of p
+    private = re.compile(r"\b(_?digit_add|_scalar_mul_nocheck|_addtab|_multab|"
+                         r"_negtab|_proot|_exp|_log|_pp)\b")
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for no, line in enumerate(path.read_text().splitlines(), 1):
+            if private.search(line):
+                hits.append(f"{path.name}:{no}: {line.strip()}")
+    assert hits == []

@@ -1,6 +1,7 @@
 """Isogeny machinery: verification, degrees, duals, p-parts, searches."""
 import random
 
+import numpy as np
 import pytest
 
 from dforge.drinfeld import (
@@ -22,6 +23,7 @@ from dforge.errors import (
 from dforge.extfield import GaloisDatum
 from dforge.ideals import IdealA
 from dforge.isogeny import (
+    _min_monic_dependence,
     annihilator,
     compose,
     degree,
@@ -483,3 +485,36 @@ def test_normalize_isogeny_quadratic_twist():
             assert datum.is_fixed(c)
     else:
         pytest.skip("twisted target left the fixed field")
+
+
+@pytest.mark.parametrize("fq", [F3, get_fq(3, (1, 0, 1)),
+                                get_fq(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))],
+                         ids=lambda f: f"q{f.q}")
+def test_min_monic_dependence_planted(fq):
+    # n independent rows (echelon form with nonzero pivots, listed bottom-up
+    # so that elimination has work to do), then a planted combination of them
+    rng = random.Random(fq.q)
+    n, width = 4, 9
+    rows = []
+    for i in range(n):
+        row = [0] * i + [rng.randrange(1, fq.q)]
+        row += [rng.randrange(fq.q) for _ in range(width - i - 1)]
+        rows.insert(0, np.array(row, dtype=np.int64))
+    combo = [rng.randrange(1, fq.q), 0] + [rng.randrange(fq.q) for _ in range(n - 2)]
+    planted = []
+    for j in range(width):
+        acc = fq.zero
+        for i in range(n):
+            acc = acc + fq.elem_packed(combo[i]) * fq.elem_packed(int(rows[i][j]))
+        planted.append(acc.val)
+    tail = np.array([rng.randrange(fq.q) for _ in range(width)], dtype=np.int64)
+    index, got = _min_monic_dependence(rows + [np.array(planted), tail], fq)
+    assert index == n
+    # the monic relation rows[n] + sum got[i] rows[i] = 0
+    for j in range(width):
+        acc = fq.elem_packed(planted[j])
+        for i in range(n):
+            acc = acc + fq.elem_packed(got[i]) * fq.elem_packed(int(rows[i][j]))
+        assert acc == fq.zero
+    assert got == [(-fq.elem_packed(c)).val for c in combo]
+    assert _min_monic_dependence(rows, fq) == (None, None)
