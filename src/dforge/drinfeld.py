@@ -12,6 +12,7 @@ whose solutions are kernels of two tail linearized polynomials in c_0.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -28,9 +29,10 @@ from .errors import (
     RankZero,
     UnsupportedField,
 )
-from .fields import RatFunc, primitive_numerators
+from .fields import (RatFunc, ResidueField, cleared_numerators,
+                     primitive_numerators, shifted_sum)
 from .ideals import divisors_in_degree_order
-from .skew import SkewPoly, conjugate, right_divmod, skew_eval
+from .skew import SkewPoly, conjugate, right_divmod, right_gcd, skew_eval
 
 # candidates linearized_roots_in_Q may test before it gives up
 ROOT_CANDIDATE_BUDGET = 2_000_000
@@ -329,32 +331,123 @@ class NonCMCertificate:
 
     `dimension` is the F_q-dimension of the bounded intertwiner space; the
     certificate asserts it equals the count of phi_a with deg_tau <= bound.
+    `method` says how the dimension was obtained ("degrees", "modular" or
+    "exact", see certify_non_cm) and `primes` lists the primes P tried, in
+    order, as (P, "lucky" | "unlucky" | "skipped"); neither takes part in
+    equality.
     """
 
     module: DrinfeldModule
     bound: int
     dimension: int
+    method: str = dataclasses.field(default="exact", compare=False)
+    primes: tuple = dataclasses.field(default=(), compare=False)
 
     def covers(self, module, bound):
         return self.module == module and self.bound >= bound
 
 
+# A two-tail certificate tries the modular proof before the exact Euclid
+# when some tail coordinate has a numerator this long (in T-coefficients).
+# Measured per call (best of five) on the certificates of `isogeny` seed 1,
+# over F_3: up to 65 coefficients (bounds 0 and 1) both paths take 0.6 to
+# 1.5 ms, within 7 % of each other; from 150 on (bound 2) the modular path
+# is 1.6 to 2.2 times faster, 6 times at 157 (example35, q = 3) and 36
+# times at 1,236 (q = 5).
+_MODULAR_MIN_LEN = 100
+# Candidates s the prime search may try, and good primes a proof may use.
+# Sparse candidates come first and can all be reducible: over F_9 every
+# T^6 + a T + b is, and the first prime of degree 6 is candidate 86.
+_PRIME_CANDIDATE_BUDGET = 256
+_MAX_GOOD_PRIMES = 2
+
+
 def certify_non_cm(module, bound):
     """Bounded non-CM certificate via the kernel dimension of the closure.
 
-    The intertwiner space {u : u phi_T = phi_T u, deg_tau u <= bound} always
-    contains the phi_a with 2 deg a <= bound; their constant terms span the
-    kernel of the subspace polynomial W.  W must right-divide every tail
-    constraint, and the residual right gcd of the quotients must have a
-    trivial kernel (tau-degree equal to tau-valuation) exactly when there is
-    no extra endomorphism up to the bound.
+    The intertwiner space {u : u phi_T = phi_T u, deg_tau u <= bound} is
+    parametrized by the common kernel, in an algebraic closure, of the tail
+    constraints (intertwiner_closure).  It always contains the constant
+    terms of the phi_a with 2 deg a <= bound, the F_q-span V of
+    1, T, ..., T^m, m = bound // 2; the certificate holds exactly when the
+    common kernel is V, of dimension m + 1.  The dimension is obtained in
+    one of three ways (`NonCMCertificate.method`):
+
+    - "degrees", one tail t: after checking exactly that t vanishes on V,
+      the dimension is deg t - val t;
+    - "modular", two long tails: the same check, then the right gcd of the
+      tails reduced modulo one prime P (`_modular_dimension`);
+    - "exact", otherwise: right division by the subspace polynomial W of V
+      and a fraction-free right Euclid on the quotients.  Refusals always
+      come from this path or from the degree count.
+
+    Lemma (the A-part check).  W = prod_{v in V} (X - v) is separable and
+    its kernel is exactly V, so W right-divides t if and only if t vanishes
+    on V, and by F_q-linearity if and only if t(T^k) = 0 for k <= m.
+    Lemma (the degree count).  If t = Q W then deg t = deg Q + m + 1 and,
+    since W(0) != 0, val t = val Q; so deg t - val t, the dimension of the
+    kernel of t, is (m + 1) plus the dimension of the kernel of Q.
     """
     module._rank2()
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _, _, tails = intertwiner_closure(module, module, bound)
     expected = bound // 2 + 1
-    W = a_part_kernel_poly(module.field, bound // 2)
+    dimension, method, primes = _kernel_dimension(module.field, tails, bound)
+    if dimension > expected:
+        raise CMSuspected(
+            f"extra endomorphisms of tau-degree <= {bound}: "
+            f"dimension {dimension} > {expected}"
+        )
+    return NonCMCertificate(module, bound, expected, method, primes)
+
+
+def _kernel_dimension(field, tails, bound, residue_degree=None):
+    """(dimension of the common kernel of the tails, method, primes tried).
+
+    `residue_degree` is the least [A/P : F_q] a modular prime may have;
+    2 bound + 2 by default (see `_modular_dimension`).
+    """
+    primes = ()
+    longest = 1 + max(r.num.degree for t in tails for c in t.coeffs
+                      for r in c.coords)
+    if len(tails) == 1 or longest >= _MODULAR_MIN_LEN:
+        for t in tails:
+            if not _vanishes_on_a_part(t, bound // 2):
+                raise InternalInconsistency(
+                    "A-part constants do not satisfy the closure constraints"
+                )
+        if len(tails) == 1:
+            return tails[0].deg - tails[0].tau_valuation(), "degrees", primes
+        dimension, primes = _modular_dimension(
+            field, tails, bound, residue_degree or 2 * bound + 2)
+        if dimension is not None:
+            return dimension, "modular", primes
+    return _exact_dimension(field, tails, bound), "exact", primes
+
+
+def _vanishes_on_a_part(t, m):
+    """t(T^k) == 0 for k = 0 .. m, exactly.
+
+    Coordinate j of t(T^k) = sum_i c_ij T^(k q^i) vanishes exactly when it
+    does times the common denominator of the c_ij: a sum of shifted
+    numerators (`fields.shifted_sum`), with no polynomial products.
+    """
+    fq = t.field.fq
+    for j in range(t.field.e):
+        nums, _ = cleared_numerators(fq, [c.coords[j] for c in t.coeffs])
+        for k in range(m + 1):
+            shifts = [k * fq.q ** i for i in range(len(nums))]
+            if not shifted_sum(nums, shifts).is_zero():
+                return False
+    return True
+
+
+def _exact_dimension(field, tails, bound):
+    """The exact path: each tail right-divided by the subspace polynomial W
+    of the A-part (a zero remainder is checked), then the fraction-free
+    right Euclid on the quotients."""
+    W = a_part_kernel_poly(field, bound // 2)
     quotients = []
     for t in tails:
         quo, rem = right_divmod(t, W)
@@ -363,13 +456,113 @@ def certify_non_cm(module, bound):
                 "A-part constants do not satisfy the closure constraints"
             )
         quotients.append(quo)
-    extra = _kernel_dimension_pair([t for t in quotients if not t.is_zero()])
-    if extra > 0:
-        raise CMSuspected(
-            f"extra endomorphisms of tau-degree <= {bound}: "
-            f"dimension {expected + extra} > {expected}"
-        )
-    return NonCMCertificate(module, bound, expected)
+    return bound // 2 + 1 + _kernel_dimension_pair(quotients)
+
+
+def _residue_primes(field, degree):
+    """Candidates (P, s) in a fixed order: s runs over the monic polynomials
+    of A by degree, then coefficients, from degree ceil(degree / e); P is
+    the monic part of L f(s), L the common denominator of f's coefficients,
+    kept when deg P >= degree and P is prime to L.  Then s mod P is a root
+    of f mod P, so x -> s is a ring map from the P-integral elements of K
+    onto A/P (for e = 1, f = x and P = s).  P may still be reducible."""
+    fq = field.fq
+    q = fq.q
+    cleared, den = cleared_numerators(fq, field.f)
+    k = max(1, -(-degree // field.e))
+    while True:
+        for index in range(q ** k):
+            s = fq.poly([fq.elem_packed(index // q ** i % q) for i in range(k)]
+                        + [fq.one])
+            val = fq.poly_zero
+            for c in reversed(cleared):
+                val = val * s + c
+            P = val.monic()
+            if P.degree >= degree and P.gcd(den).is_one():
+                yield P, s
+        k += 1
+
+
+def _reduce_tails(F, tails, s):
+    """The tails' coefficients mapped to A/P by x -> s, or None when a
+    coefficient's denominator vanishes mod P.
+
+    A coefficient sum_j (n_j / d_j) x^j with common denominator L maps to
+    N / L mod P, N = sum_j n_j (L / d_j) s^j (`ResidueField.reduce`).
+    """
+    cleared = [cleared_numerators(F.fq, c.coords)
+               for t in tails for c in t.coeffs]
+    values = F.reduce([nums for nums, _ in cleared], s)
+    dens = [(i, L) for i, (_, L) in enumerate(cleared) if not L.is_one()]
+    if dens:
+        for (i, _), dv in zip(dens, F.reduce([L for _, L in dens])):
+            if dv.is_zero():
+                return None
+            values[i] = values[i] / dv
+    values = iter(values)
+    return [[next(values) for _ in t.coeffs] for t in tails]
+
+
+def _modular_dimension(field, tails, bound, residue_degree):
+    """(dimension, primes tried): the dimension of the common kernel of the
+    two tails when one prime proves it equals bound // 2 + 1, else None.
+
+    Lemma (one good prime; Brown, JACM 18 (1971), and Li & Nemes, ISSAC
+    1997, for Ore polynomials).  Let x -> s be a ring map from the
+    P-integral elements of K onto F = A/P (`_residue_primes`); reduction
+    mod P commutes with the q-power map, so it is a ring map on P-integral
+    skew polynomials.  Let t1 = tails[0] = t1' tau^v, and suppose the lead
+    of t1 and its coefficient at tau^v are P-units and every coefficient of
+    both tails is P-integral.  Take a valuation ring above P in an algebraic
+    closure.  The roots of t1' are integral (t1' / lead is monic and
+    integral), their product is +-(coefficient at tau^v) / lead, a unit, so
+    each is a unit, and t1' mod P is separable (its derivative is the unit
+    coefficient at tau^v): reduction maps the roots of t1' injectively, and
+    with them the roots of t1, their q^v-th roots.  A common root of the
+    tails maps to a common root of the reduced pair, so the reduced right
+    gcd g has deg g - val g >= the exact dimension, which is >= bound // 2
+    + 1 once the tails vanish on the A-part (certify_non_cm).  A reduced
+    dimension of bound // 2 + 1 therefore proves the certificate.
+
+    A larger reduced dimension means CM or an unlucky prime: after
+    `_MAX_GOOD_PRIMES` good primes, or `_PRIME_CANDIDATE_BUDGET`
+    candidates, the caller falls back to the exact path.  Over the finite
+    field F the reduced module has the Frobenius endomorphism, of tau-degree
+    [F : F_q], so residue degrees below 2 bound + 2 give too large a
+    dimension far more often.  Primes of degree <= bound divide some
+    T^(q^i) - T, i <= bound, a factor of the closure's denominators, and
+    usually of the tails' leads: those are skipped.
+    """
+    expected = bound // 2 + 1
+    t1 = tails[0]
+    v1 = t1.tau_valuation()
+    primes = []
+    good = 0
+    candidates = _residue_primes(field, residue_degree)
+    for _ in range(_PRIME_CANDIDATE_BUDGET):
+        P, s = next(candidates)
+        F = ResidueField(field.fq, P)
+        if not F.is_field():
+            continue
+        reduced = _reduce_tails(F, tails, s)
+        if reduced is None or reduced[0][v1].is_zero() \
+                or reduced[0][-1].is_zero():
+            primes.append((P, "skipped"))
+            continue
+        g = right_gcd(SkewPoly(F, reduced[0]), SkewPoly(F, reduced[1]))
+        dimension = g.deg - g.tau_valuation()
+        if dimension < expected:
+            raise InternalInconsistency(
+                "reduced constraints lost the A-part constants"
+            )
+        good += 1
+        if dimension == expected:
+            primes.append((P, "lucky"))
+            return dimension, tuple(primes)
+        primes.append((P, "unlucky"))
+        if good == _MAX_GOOD_PRIMES:
+            break
+    return None, tuple(primes)
 
 
 def _cleared_constraint(gpoly):

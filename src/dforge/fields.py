@@ -1,4 +1,5 @@
-"""Exact arithmetic for F_p < F_q < A = F_q[T] < Q = F_q(T).
+"""Exact arithmetic for F_p < F_q < A = F_q[T] < Q = F_q(T), and the
+residue fields A/P.
 
 Elements of F_q are packed base-p integers; polynomials over F_q are
 little-endian numpy int64 arrays of packed values.  Only `Fq.arr_axpy` and
@@ -10,6 +11,8 @@ Multiplication in F_q goes through discrete log/exp tables for every q.
 Products in F_q[T] are exact integer convolutions of F_p digits: short ones
 with all coefficients in F_p use np.convolve, all others go through
 Kronecker substitution into one Python integer product (`_kron_conv`).
+Matrices over F_q multiply the same way, by integer products of F_p digits
+(`Fq.arr_matmul`); `ResidueField` does all its arithmetic with them.
 """
 from __future__ import annotations
 
@@ -32,28 +35,11 @@ def _is_prime(n):
 
 
 def is_irreducible(f):
-    """Rabin irreducibility: T^(q^n) = T mod f and no prime-level coincidence."""
+    """True when f is irreducible over F_q: Rabin's test on A/(f)
+    (`ResidueField.is_field`)."""
     if f.is_zero() or f.degree < 1:
         return False
-    n = f.degree
-    if n == 1:
-        return True
-    T = f.field.poly_T()
-
-    def next_frob(r):
-        return r.frob_power(1) % f
-
-    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
-    r = T % f
-    images = {}
-    for i in range(1, n + 1):
-        r = next_frob(r)
-        images[i] = r
-    for p in primes:
-        g = (images[n // p] - T % f).gcd(f)
-        if not g.is_one():
-            return False
-    return (images[n] - T % f).is_zero()
+    return ResidueField(f.field, f.monic()).is_field()
 
 
 class Fq:
@@ -133,20 +119,29 @@ class Fq:
             f += 1
         if n > 1:
             factors.append(n)
+        if self.d == 1:
+            # integers mod p: one multiplication and reduction per step
+            def power(a, e):
+                return pow(a, e, q)
+
+            def times(a, b):
+                return a * b % q
+        else:
+            power, times = self._spow, self._digit_mul
         gen = None
         for cand in range(2, q):
-            if all(self._spow(cand, order // f) != 1 for f in factors):
+            if all(power(cand, order // f) != 1 for f in factors):
                 gen = cand
                 break
         if gen is None:
             gen = 1  # q = 2
+        vals = [1]
+        for _ in range(order - 1):
+            vals.append(times(vals[-1], gen))
         exp = np.zeros(2 * max(order, 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
-        cur = 1
-        for i in range(order):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._digit_mul(cur, gen)
+        exp[:order] = vals
+        log[exp[:order]] = np.arange(order)
         exp[order: 2 * order] = exp[:order]
         self._exp = exp
         self._log = log
@@ -314,6 +309,54 @@ class Fq:
         out = np.zeros((len(a) - 1) * stride + 1, dtype=np.int64)
         out[:: stride] = a
         return out
+
+    def arr_matmul(self, a, b):
+        """The product over F_q of packed matrices a (k x m) and b (m x n).
+
+        For d = 1 one integer matrix product, exact while m (p - 1)^2 <
+        2^63.  Above, the F_p digits of both go through one integer product
+        per digit pair (digit i of a times digit j of b lands at y^(i+j)),
+        reduced by the modulus once at the end.
+        """
+        p, d = self.p, self.d
+        if d == 1:
+            return (a @ b) % p
+        (k, m), n = a.shape, b.shape[1]
+        da = (a[:, :, None] // self._pp) % p
+        db = (b[:, :, None] // self._pp) % p
+        prod = (da.transpose(0, 2, 1).reshape(k * d, m)
+                @ db.reshape(m, n * d)).reshape(k, d, n, d)
+        conv = np.zeros((k, n, 2 * d - 1), dtype=np.int64)
+        for i in range(d):
+            conv[:, :, i: i + d] += prod[:, i]
+        return (((conv % p) @ self._red) % p) @ self._pp
+
+    def arr_xpow_table(self, b, count, table=None):
+        """Rows T^i mod b for i < count, for a monic b of degree n >= 1,
+        extending `table` (such rows for i < len(table), len(table) >= n).
+
+        Rows below n are the identity and rows n .. 2n - 1 come by steps of
+        T.  Rows n .. 2n - 1 are the matrix of multiplication by T^n, so the
+        last n rows times it give the next n, and all m rows times those
+        give T^(m + i) = T^i T^m for i < m: two matrix products per doubling.
+        """
+        n = len(b) - 1
+        if table is None:
+            table = np.eye(n, dtype=np.int64)
+        if len(table) < min(count, 2 * n):
+            minus_low = self.arr_neg(b[:-1])
+            cur, step = table[n - 1], []
+            for _ in range(n):
+                top = int(cur[-1])
+                cur = np.concatenate(([0], cur[:-1]))
+                if top:
+                    cur = self.arr_axpy(cur, top, minus_low)
+                step.append(cur)
+            table = np.vstack((table[:n], step))
+        while len(table) < count:
+            shift = self.arr_matmul(table[-n:], table[n: 2 * n])
+            table = np.vstack((table, self.arr_matmul(table, shift)))
+        return table[:count]
 
     # -- convenience constructors ---------------------------------------------
 
@@ -651,6 +694,18 @@ def poly_to_text(p):
     return " + ".join(parts)
 
 
+def shifted_sum(polys, shifts):
+    """sum_i T^shifts[i] polys[i] for PolyA values over one field: one
+    array, accumulated in place by `arr_axpy`, with no products."""
+    fq = polys[0].field
+    out = np.zeros(max(s + len(a._c) for a, s in zip(polys, shifts)),
+                   dtype=np.int64)
+    for a, s in zip(polys, shifts):
+        a = a._c
+        out[s: s + len(a)] = fq.arr_axpy(out[s: s + len(a)], 1, a)
+    return PolyA(fq, _trim(out))
+
+
 def common_denominator(fq, rats):
     """Monic lcm of the denominators of the RatFunc values `rats`."""
     lcm = fq.poly_one
@@ -658,6 +713,16 @@ def common_denominator(fq, rats):
         if not r.den.is_one():
             lcm = r.den if lcm.is_one() else lcm * (r.den // lcm.gcd(r.den))
     return lcm
+
+
+def cleared_numerators(fq, rats):
+    """([r.num * (L // r.den) for r in rats], L): the RatFunc values `rats`
+    times L, the monic lcm of their denominators."""
+    lcm = common_denominator(fq, rats)
+    if lcm.is_one():
+        return [r.num for r in rats], lcm
+    return [r.num if r.den == lcm or r.is_zero() else r.num * (lcm // r.den)
+            for r in rats], lcm
 
 
 def primitive_numerators(fq, rats):
@@ -668,9 +733,7 @@ def primitive_numerators(fq, rats):
     divisions are exact.  The result is `rats` times a nonzero element of Q
     (all zero when `rats` is).
     """
-    lcm = common_denominator(fq, rats)
-    nums = [r.num if r.den == lcm or r.is_zero() else r.num * (lcm // r.den)
-            for r in rats]
+    nums, _ = cleared_numerators(fq, rats)
     content = None
     for n in nums:
         if n.is_zero():
@@ -844,3 +907,155 @@ class RatFunc:
         if self.den.is_one():
             return poly_to_text(self.num)
         return f"({poly_to_text(self.num)}) / ({poly_to_text(self.den)})"
+
+
+class ResidueField:
+    """The residue field A/P at a monic P of degree n >= 1, table-free.
+
+    Elements are packed vectors of length n over the basis 1, T, ..., T^(n-1)
+    of A/P.  Every operation is a kernel of `Fq`: products are
+    convolutions reduced by one matrix product with the rows T^i mod P,
+    and Frobenius x -> x^q is the F_q-linear map with rows T^(iq) mod P.
+    The elements carry the coefficient interface of K{tau} (is_zero,
+    frob, inverse, +, -, *, /), so `skew` runs over A/P unchanged.  A/P is
+    a field exactly when P is irreducible (`is_field`).
+    """
+
+    def __init__(self, fq, P):
+        self.fq = fq
+        self.P = P
+        self.n = n = P.degree
+        top = (n - 1) * fq.q + 1
+        self._table = fq.arr_xpow_table(P.array, max(top, 2 * n - 1))
+        self._frob = self._table[:top:fq.q]
+
+    # built on demand: elements refer to their field, so a field that kept
+    # its own would form a reference cycle, left to the cyclic collector
+    @property
+    def zero(self):
+        return ResidueElem(self, np.zeros(self.n, dtype=np.int64))
+
+    @property
+    def one(self):
+        return ResidueElem(self, self._table[0])
+
+    def _rows(self, count):
+        """The rows T^i mod P for i < count."""
+        if len(self._table) < count:
+            self._table = self.fq.arr_xpow_table(self.P.array, count,
+                                                 self._table)
+        return self._table[:count]
+
+    def _reduce_rows(self, polys):
+        width = max(len(a.array) for a in polys)
+        mat = np.zeros((len(polys), width), dtype=np.int64)
+        for i, a in enumerate(polys):
+            mat[i, : len(a.array)] = a.array
+        return self.fq.arr_matmul(mat, self._rows(width))
+
+    def reduce(self, polys, root=None):
+        """The residues of the PolyA values `polys`, by one matrix product.
+
+        With a PolyA `root` and `polys` a list of e-tuples (a_0, ..,
+        a_(e-1)), the residues of sum_j a_j root^j: the a_j are reduced
+        together, and each power of root acts by its multiplication matrix,
+        whose rows are the residues of T^i root^j.
+        """
+        fq = self.fq
+        if root is None:
+            return [ResidueElem(self, r) for r in self._reduce_rows(polys)]
+        k, e, n = len(polys), len(polys[0]), self.n
+        powers = [root]
+        while len(powers) < e - 1:
+            powers.append(powers[-1] * root)
+        mats = self._reduce_rows([a for v in polys for a in v]
+                                 + [r.shift(i) for r in powers
+                                    for i in range(n)])
+        vals = mats[: k * e].reshape(k, e, n)
+        out = vals[:, 0]
+        for j in range(1, e):
+            mult = mats[k * e + (j - 1) * n: k * e + j * n]
+            out = fq.arr_axpy(out, 1, fq.arr_matmul(vals[:, j], mult))
+        return [ResidueElem(self, r) for r in out]
+
+    def is_field(self):
+        """Rabin's test on P through the Frobenius map: T^(q^n) = T, and
+        gcd(T^(q^(n/r)) - T, P) = 1 for every prime r dividing n."""
+        n = self.n
+        T = self.reduce([self.fq.poly_T()])[0]
+        images = [T]
+        for _ in range(n):
+            images.append(images[-1].frob())
+        if images[n] != T:
+            return False
+        for r in range(2, n + 1):
+            if n % r == 0 and _is_prime(r):
+                diff = PolyA(self.fq, _trim((images[n // r] - T).vec))
+                if not diff.gcd(self.P).is_one():
+                    return False
+        return True
+
+    def __repr__(self):
+        return f"ResidueField({self.P!r})"
+
+
+class ResidueElem:
+    """Element of a ResidueField: its packed vector of length n."""
+
+    __slots__ = ("field", "vec")
+
+    def __init__(self, field, vec):
+        self.field = field
+        self.vec = vec
+
+    def is_zero(self):
+        return not np.count_nonzero(self.vec)
+
+    def is_one(self):
+        return int(self.vec[0]) == 1 and not np.count_nonzero(self.vec[1:])
+
+    def __eq__(self, other):
+        return (isinstance(other, ResidueElem) and other.field is self.field
+                and bool(np.array_equal(other.vec, self.vec)))
+
+    def __add__(self, other):
+        fq = self.field.fq
+        return ResidueElem(self.field, fq.arr_axpy(self.vec, 1, other.vec))
+
+    def __sub__(self, other):
+        fq = self.field.fq
+        return ResidueElem(self.field,
+                           fq.arr_axpy(self.vec, fq.p - 1, other.vec))
+
+    def __mul__(self, other):
+        fld = self.field
+        if self.is_zero() or other.is_zero():
+            return fld.zero
+        conv = fld.fq.arr_mul(self.vec, other.vec)
+        rows = fld._table[: len(conv)]
+        return ResidueElem(fld, fld.fq.arr_matmul(conv[None, :], rows)[0])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def frob(self):
+        fld = self.field
+        return ResidueElem(fld, fld.fq.arr_matmul(self.vec[None, :],
+                                                  fld._frob)[0])
+
+    def inverse(self):
+        """x^(-1) = c / N(x) with c = x^q x^(q^2) ... x^(q^(n-1)): the norm
+        N(x) = x c lies in F_q (Itoh-Tsujii)."""
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero in A/P")
+        fld = self.field
+        fq = fld.fq
+        conj, cur = fld.one, self
+        for _ in range(fld.n - 1):
+            cur = cur.frob()
+            conj = conj * cur
+        norm = int((self * conj).vec[0])
+        return ResidueElem(fld, fq.arr_scalar_mul(conj.vec, fq.sinv(norm)))
+
+    def __repr__(self):
+        return f"{poly_to_text(PolyA(self.field.fq, _trim(self.vec)))} mod P"

@@ -292,11 +292,12 @@ def test_cli_stdout_is_independent_of_hash_seed(tmp_path, command, doc):
 
 
 def test_cmd_example35_in_process():
-    for q in (3, 5):
+    # F_9 prints its elements as coordinate vectors: 1 is [1,0]
+    for q, level in ((3, "(T)"), (5, "(T)"), (7, "(T)"), (9, "([1,0]*T)")):
         report = cmd_example35(q)
         assert report["all_pass"], report
-        assert report["n"] == "(T)"
-        assert report["m"]["s"] == "(T)"
+        assert report["n"] == level
+        assert report["m"]["s"] == level
     with pytest.raises(EvenCharacteristic):
         cmd_example35(4)
 

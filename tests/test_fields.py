@@ -21,6 +21,7 @@ from dforge.fields import (
     Fq,
     PolyA,
     RatFunc,
+    ResidueField,
     _kron_conv,
     _trim,
     primitive_numerators,
@@ -404,6 +405,18 @@ def test_fq_accepts_exactly_the_irreducible_moduli(p, d, count):
     assert accepted == count
 
 
+@pytest.mark.parametrize("fq,n,count", [(F3, 1, 3), (F3, 4, 18), (F3, 6, 116),
+                                        (F4, 3, 20), (F9, 2, 36),
+                                        (get_fq(5), 3, 40)],
+                         ids=lambda v: str(getattr(v, "q", v)))
+def test_is_irreducible_counts_the_monic_irreducibles(fq, n, count):
+    # Gauss's count over F_q, as above
+    found = sum(is_irreducible(fq.poly([fq.elem_packed(c) for c in low]
+                                       + [fq.one]))
+                for low in itertools.product(range(fq.q), repeat=n))
+    assert found == count
+
+
 def test_rational_roots_examples():
     Q = rational_field(3)
     rT = F3.rat(F3.poly([0, 1]))
@@ -604,3 +617,73 @@ def test_packed_layout_stays_in_fields():
             if private.search(line):
                 hits.append(f"{path.name}:{no}: {line.strip()}")
     assert hits == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 257, 65521])
+def test_prime_field_tables_match_the_digit_path(p):
+    # for d = 1 the tables come from integer products mod p; the digit
+    # path (convolution, reduction, dot product) must give the same ones
+    fq = get_fq(p)
+    order = p - 1
+    factors = [f for f in range(2, order + 1) if order % f == 0 and all(
+        f % g for g in range(2, f))]
+    gen = next(c for c in range(2, p)
+               if all(fq._spow(c, order // f) != 1 for f in factors))
+    exp = [1]
+    for _ in range(order - 1):
+        exp.append(fq._digit_mul(exp[-1], gen))
+    log = np.zeros(p, dtype=np.int64)
+    log[exp] = np.arange(order)
+    assert fq._exp.tolist() == exp + exp
+    assert np.array_equal(fq._log, log)
+
+
+MATMUL_FIELDS = [F3, get_fq(5), F4, F9, get_fq(257), F512]
+
+
+@pytest.mark.parametrize("fq", MATMUL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_arr_matmul_against_scalar_ops(fq):
+    rng = np.random.default_rng(fq.q)
+    for k, m, n in [(1, 1, 1), (3, 5, 4), (2, 40, 3), (4, 7, 9)]:
+        a = rng.integers(0, fq.q, (k, m))
+        b = rng.integers(0, fq.q, (m, n))
+        b[0] = fq.q - 1
+        want = np.zeros((k, n), dtype=np.int64)
+        for i in range(k):
+            for j in range(n):
+                acc = 0
+                for t in range(m):
+                    acc = fq.sadd(acc, fq.smul(int(a[i, t]), int(b[t, j])))
+                want[i, j] = acc
+        assert np.array_equal(fq.arr_matmul(a, b), want), (k, m, n)
+
+
+def _irreducible(rng, fq, degree):
+    while True:
+        P = random_fq_poly(rng, fq, degree - 1) + fq.poly_T() ** degree
+        if is_irreducible(P):
+            return P
+
+
+@pytest.mark.parametrize("fq", [F3, get_fq(5), F4, F9], ids=lambda f: f"q{f.q}")
+def test_residue_field_against_polynomials_mod_p(fq):
+    rng = random.Random(fq.q)
+    for degree in (1, 2, 3, 6):
+        P = _irreducible(rng, fq, degree)
+        F = ResidueField(fq, P)
+        assert F.is_field()
+        root = random_fq_poly(rng, fq, 4)
+        for _ in range(8):
+            a = random_fq_poly(rng, fq, rng.randrange(60))
+            b = random_fq_poly(rng, fq, rng.randrange(60))
+            ra, rb = F.reduce([a, b])
+            (a_mod,), (b_mod,) = F.reduce([a % P]), F.reduce([b % P])
+            assert ra == a_mod and rb == b_mod
+            assert ra * rb == F.reduce([a * b % P])[0]
+            assert ra - rb == F.reduce([(a - b) % P])[0]
+            assert ra + rb == F.reduce([(a + b) % P])[0]
+            assert ra.frob() == F.reduce([a.frob_power(1) % P])[0]
+            assert F.reduce([(a, b)], root) == F.reduce([(a + b * root) % P])
+            if not ra.is_zero():
+                assert (ra * ra.inverse()).is_one()
+                assert (rb / ra) * ra == rb
