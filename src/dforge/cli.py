@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from contextlib import contextmanager
 
@@ -67,7 +66,7 @@ def _section(doc, key):
 class JobContext:
     """Field tower, declared objects, and helpers built from a document."""
 
-    def __init__(self, doc, seed=0, certify_bound=None):
+    def __init__(self, doc, certify_bound=None):
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
         fspec = doc.get("field")
@@ -90,7 +89,6 @@ class JobContext:
             self.modules = {}
             for name, text in _section(doc, "modules").items():
                 self.modules[name] = make_module(parse_skew(text, self.field))
-        self.rng = random.Random(seed)
         self.certify_bound = certify_bound
         self.certs = CertificateCache()
         self.isogenies = {}
@@ -421,8 +419,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors (exit 1), not domain errors."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dforge",
         description="Exact isogeny algebra for rank-two Drinfeld modules",
     )
@@ -430,15 +435,12 @@ def main(argv=None):
                         choices=sorted(_COMMANDS) + ["example35"],
                         help="operation to run")
     parser.add_argument("--in", dest="infile", help="job document (JSON)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the factorization randomness source")
     parser.add_argument("--certify-bound", type=int, default=None,
                         help="non-CM certification bound for declared isogenies")
     parser.add_argument("--q", type=int, default=3,
                         help="field size for the example35 command")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "example35":
             result = cmd_example35(args.q)
         else:
@@ -453,8 +455,7 @@ def main(argv=None):
                 raise ParseError(f"cannot read job document: {exc}")
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc}")
-            ctx = JobContext(doc, seed=args.seed,
-                             certify_bound=args.certify_bound)
+            ctx = JobContext(doc, certify_bound=args.certify_bound)
             result = _COMMANDS[args.command](ctx)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -347,14 +347,6 @@ class NonCMCertificate:
         return self.module == module and self.bound >= bound
 
 
-# A two-tail certificate tries the modular proof before the exact Euclid
-# when some tail coordinate has a numerator this long (in T-coefficients).
-# Measured per call (best of five) on the certificates of `isogeny` seed 1,
-# over F_3: up to 65 coefficients (bounds 0 and 1) both paths take 0.6 to
-# 1.5 ms, within 7 % of each other; from 150 on (bound 2) the modular path
-# is 1.6 to 2.2 times faster, 6 times at 157 (example35, q = 3) and 36
-# times at 1,236 (q = 5).
-_MODULAR_MIN_LEN = 100
 # Candidates s the prime search may try, and good primes a proof may use.
 # Sparse candidates come first and can all be reducible: over F_9 every
 # T^6 + a T + b is, and the first prime of degree 6 is candidate 86.
@@ -375,11 +367,13 @@ def certify_non_cm(module, bound):
 
     - "degrees", one tail t: after checking exactly that t vanishes on V,
       the dimension is deg t - val t;
-    - "modular", two long tails: the same check, then the right gcd of the
+    - "modular", two tails: the same check, then the right gcd of the
       tails reduced modulo one prime P (`_modular_dimension`);
-    - "exact", otherwise: right division by the subspace polynomial W of V
-      and a fraction-free right Euclid on the quotients.  Refusals always
-      come from this path or from the degree count.
+    - "exact", two tails the modular search did not prove (a refusal, two
+      unlucky primes, or no good prime within the candidate budget): right
+      division by the subspace polynomial W of V and a fraction-free right
+      Euclid on the quotients.  Refusals always come from this path or
+      from the degree count.
 
     Lemma (the A-part check).  W = prod_{v in V} (X - v) is separable and
     its kernel is exactly V, so W right-divides t if and only if t vanishes
@@ -408,21 +402,17 @@ def _kernel_dimension(field, tails, bound, residue_degree=None):
     `residue_degree` is the least [A/P : F_q] a modular prime may have;
     2 bound + 2 by default (see `_modular_dimension`).
     """
-    primes = ()
-    longest = 1 + max(r.num.degree for t in tails for c in t.coeffs
-                      for r in c.coords)
-    if len(tails) == 1 or longest >= _MODULAR_MIN_LEN:
-        for t in tails:
-            if not _vanishes_on_a_part(t, bound // 2):
-                raise InternalInconsistency(
-                    "A-part constants do not satisfy the closure constraints"
-                )
-        if len(tails) == 1:
-            return tails[0].deg - tails[0].tau_valuation(), "degrees", primes
-        dimension, primes = _modular_dimension(
-            field, tails, bound, residue_degree or 2 * bound + 2)
-        if dimension is not None:
-            return dimension, "modular", primes
+    for t in tails:
+        if not _vanishes_on_a_part(t, bound // 2):
+            raise InternalInconsistency(
+                "A-part constants do not satisfy the closure constraints"
+            )
+    if len(tails) == 1:
+        return tails[0].deg - tails[0].tau_valuation(), "degrees", ()
+    dimension, primes = _modular_dimension(
+        field, tails, bound, residue_degree or 2 * bound + 2)
+    if dimension is not None:
+        return dimension, "modular", primes
     return _exact_dimension(field, tails, bound), "exact", primes
 
 
@@ -717,8 +707,7 @@ def intertwiner_space(phi, psi, bound, candidates=None, cancel=None):
             raise UnsupportedField(
                 "constant-term candidates are required over a proper extension"
             )
-        quotients = [_strip_content(t) for t in tails]
-        dim_bar = _kernel_dimension_pair(quotients)
+        dim_bar = _kernel_dimension_pair(tails)
         if phi == psi and dim_bar == bound // 2 + 1:
             # kernel equals the A-part: every admissible constant term is
             # the value of some a with 2 deg a <= bound

@@ -16,12 +16,6 @@ from .groups import CyclicProduct
 __all__ = ["ExtField", "ExtFieldElem", "GaloisDatum"]
 
 
-def _qpoly_trim(c):
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
 class ExtField:
     """Context for K = Q[x]/(f), f monic of degree e over Q = F_q(T)."""
 
@@ -100,24 +94,12 @@ class ExtField:
     def _xq_pows(self):
         # (x^j)^q mod f for j < e, via square-and-multiply once per field
         if self._xq_table is None:
-            xq = self._powmod_x(self.fq.q)
+            xq = self.gen() ** self.fq.q
             table = [self.one, xq]
             for _ in range(self.e - 2):
                 table.append(table[-1] * xq)
             self._xq_table = tuple(table[: self.e])
         return self._xq_table
-
-    def _powmod_x(self, exp):
-        out = self.one
-        base = self.gen() if self.e > 1 else self.zero
-        if self.e == 1:
-            return self.one if exp == 0 else self.zero
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     def __repr__(self):
         return f"ExtField(q={self.fq.q}, e={self.e})"
@@ -217,23 +199,28 @@ class ExtFieldElem:
         if fld.e == 1 or self.in_base():
             vec = [self.coords[0].inverse()] + [fld.fq.rat_zero] * (fld.e - 1)
             return ExtFieldElem(fld, tuple(vec))
-        # extended Euclid in Q[x] against f
-        r0 = list(fld.f)
-        r1 = list(self.coords)
-        s0 = [fld.fq.rat_zero]
-        s1 = [fld.fq.rat_one]
-        _qpoly_trim(r1)
-        while True:
-            if len(r1) == 1:
-                inv = r1[0].inverse()
-                vec = [c * inv for c in s1]
-                vec += [fld.fq.rat_zero] * (fld.e - len(vec))
-                return ExtFieldElem(fld, tuple(vec[: fld.e]))
-            q, r = _qpoly_divmod(r0, r1, fld.fq)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1, fld.fq), fld.fq)
-            if not r1:
+        # solve self * y = 1 by Gauss-Jordan over Q; column j holds the
+        # coordinates of self * x^j, and a missing pivot is a zero divisor
+        e = fld.e
+        cols, cur, x = [], self, fld.gen()
+        for _ in range(e):
+            cols.append(cur.coords)
+            cur = cur * x
+        rows = [[col[i] for col in cols] + [fld.one.coords[i]]
+                for i in range(e)]
+        for j in range(e):
+            piv = next((i for i in range(j, e) if not rows[i][j].is_zero()),
+                       None)
+            if piv is None:
                 raise DivisionByZero("element is a zero divisor; f is reducible")
+            rows[j], rows[piv] = rows[piv], rows[j]
+            inv = rows[j][j].inverse()
+            rows[j] = [c * inv for c in rows[j]]
+            for i in range(e):
+                c = rows[i][j]
+                if i != j and not c.is_zero():
+                    rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
+        return ExtFieldElem(fld, tuple(row[e] for row in rows))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -275,47 +262,6 @@ class ExtFieldElem:
         return "[" + ", ".join(repr(c) for c in self.coords) + "]"
 
 
-def _qpoly_divmod(a, b, fq):
-    a = list(a)
-    inv = b[-1].inverse()
-    quo = [fq.rat_zero] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        if not c.is_zero():
-            quo[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] = a[k + i] - c * bc
-    rem = _qpoly_trim(a[: len(b) - 1])
-    return quo, rem
-
-
-def _qpoly_mul(a, b, fq):
-    out = [fq.rat_zero] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _qpoly_trim(out)
-
-
-def _qpoly_sub(a, b, fq):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else fq.rat_zero
-        y = b[i] if i < len(b) else fq.rat_zero
-        out.append(x - y)
-    return _qpoly_trim(out)
-
-
-def _qpoly_eval(coeffs, point):
-    acc = point.field.zero
-    for c in reversed(coeffs):
-        acc = acc * point + point.field.from_rat(c)
-    return acc
-
-
 class GaloisDatum(CyclicProduct):
     """An explicit finite abelian quotient of G_K acting on K = Q[x]/(f).
 
@@ -333,7 +279,9 @@ class GaloisDatum(CyclicProduct):
         for name, order, image in self.generators:
             if image.field is not field:
                 raise FieldMismatch("generator image lives in another field")
-            if not _qpoly_eval(list(field.f), image).is_zero():
+            value = image ** field.e + self._apply_with_image(
+                image, field.elem(field.f[:-1]))
+            if not value.is_zero():
                 raise InvalidAutomorphism(f"image of {name} is not a root of f")
         maps = [partial(self._apply_with_image, image)
                 for _, _, image in self.generators]

@@ -63,10 +63,14 @@ class Fq:
         self.modulus = modulus
         if self.q > 65536:
             raise ValueError("field too large for table-based arithmetic")
-        if self.d > 1 and not is_irreducible(Fq(p).poly(modulus)):
-            raise ValueError("modulus is reducible over F_p")
+        # rows y^k mod modulus for k < 2d - 1, as F_p digit vectors
+        self._red = np.ones((1, 1), dtype=np.int64)
+        if self.d > 1:
+            mod = Fq(p).poly(modulus)
+            if not is_irreducible(mod):
+                raise ValueError("modulus is reducible over F_p")
+            self._red = mod.field.arr_xpow_table(mod.array, 2 * self.d - 1)
         self._pp = p ** np.arange(self.d, dtype=np.int64)
-        self._build_reduction()
         self._build_tables()
         self.zero = FqElem(self, 0)
         self.one = FqElem(self, 1)
@@ -79,21 +83,6 @@ class Fq:
         return f"Fq(p={self.p}, d={self.d})"
 
     # -- construction of the multiplication tables ---------------------------
-
-    def _build_reduction(self):
-        # rows: y^k mod modulus for k = 0 .. 2d-2, as F_p digit vectors
-        p, d = self.p, self.d
-        rows = np.zeros((2 * d - 1, d), dtype=np.int64)
-        cur = np.zeros(d + 1, dtype=np.int64)
-        cur[0] = 1
-        mod = np.array(self.modulus, dtype=np.int64)
-        for k in range(2 * d - 1):
-            rows[k] = cur[:d]
-            cur = np.concatenate((np.zeros(1, dtype=np.int64), cur[:d]))
-            if cur[d]:
-                cur = (cur - cur[d] * mod) % p
-            cur = cur % p
-        self._red = rows
 
     def _digit_mul(self, a, b):
         # multiply two packed scalars by digit convolution + reduction
@@ -706,19 +695,13 @@ def shifted_sum(polys, shifts):
     return PolyA(fq, _trim(out))
 
 
-def common_denominator(fq, rats):
-    """Monic lcm of the denominators of the RatFunc values `rats`."""
+def cleared_numerators(fq, rats):
+    """([r.num * (L // r.den) for r in rats], L): the RatFunc values `rats`
+    times L, the monic lcm of their denominators."""
     lcm = fq.poly_one
     for r in rats:
         if not r.den.is_one():
             lcm = r.den if lcm.is_one() else lcm * (r.den // lcm.gcd(r.den))
-    return lcm
-
-
-def cleared_numerators(fq, rats):
-    """([r.num * (L // r.den) for r in rats], L): the RatFunc values `rats`
-    times L, the monic lcm of their denominators."""
-    lcm = common_denominator(fq, rats)
     if lcm.is_one():
         return [r.num for r in rats], lcm
     return [r.num if r.den == lcm or r.is_zero() else r.num * (lcm // r.den)

@@ -26,7 +26,7 @@ from .errors import (
     NotScalarConjugate,
     StructureError,
 )
-from .fields import FqElem, common_denominator
+from .fields import FqElem, cleared_numerators
 from .ideals import IdealA, divisors_of_degree, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
 from .skew import SkewPoly, conjugate, right_divmod, right_gcd
@@ -141,22 +141,6 @@ def target_of(phi, mu):
 
 # -- annihilator linear algebra ------------------------------------------------
 
-def _fq_row_from_skew(r, m, e, fq, den_lcm, width):
-    """Flatten a remainder into an F_q vector over (tau-slot, coord, T-deg)."""
-    row = np.zeros(m * e * width, dtype=np.int64)
-    for j in range(min(len(r.coeffs), m)):
-        c = r.coeffs[j]
-        for k in range(e):
-            rat = c.coords[k]
-            if rat.is_zero():
-                continue
-            scaled = rat.num * (den_lcm // rat.den)
-            arr = scaled.array
-            base = (j * e + k) * width
-            row[base: base + len(arr)] = arr
-    return row
-
-
 def _min_monic_dependence(rows, fq):
     """First index n with rows[n] in the span of rows[:n], plus coefficients.
 
@@ -206,18 +190,15 @@ def _annihilator(iso):
     for _ in range(m):
         cur = cur * phi.phiT
         rems.append(right_divmod(cur, mu)[1])
-    # common denominator and width for the F_q expansion
-    den_lcm = common_denominator(
-        fq, [rat for r in rems for c in r.coeffs for rat in c.coords])
-    maxdeg = 0
-    for r in rems:
-        for c in r.coeffs:
-            for rat in c.coords:
-                if not rat.is_zero():
-                    d = rat.num.degree + (den_lcm.degree - rat.den.degree)
-                    maxdeg = max(maxdeg, d)
-    width = maxdeg + 1
-    rows = [_fq_row_from_skew(r, m, field.e, fq, den_lcm, width) for r in rems]
+    # F_q rows over (tau-slot, coordinate, T-degree), cleared of the common
+    # denominator of all remainders
+    nums, _ = cleared_numerators(
+        fq, [rat for r in rems for j in range(m) for rat in r.coeff(j).coords])
+    width = max(len(a.array) for a in nums)
+    rows = np.zeros((len(nums), width), dtype=np.int64)
+    for i, a in enumerate(nums):
+        rows[i, : len(a.array)] = a.array
+    rows = rows.reshape(len(rems), m * field.e * width)
     n, combo = _min_monic_dependence(rows, fq)
     if n is None:
         raise InternalInconsistency(
@@ -247,9 +228,8 @@ def _degree_parts(iso):
     if k == 0:
         n2 = unit_ideal(fq)
         return n1 * n2, n1, n2
-    candidates = [d for d in divisors_of_degree(n1, k) if d.divides(n1)]
     matches = []
-    for cand in candidates:
+    for cand in divisors_of_degree(n1, k):
         _, rem = right_divmod(iso.mu, phi_a(iso.source, cand.gen))
         if rem.is_zero():
             matches.append(cand)

@@ -270,21 +270,13 @@ def descent_data(orbit, galois):
         raise NotGStable("orbit carries no Galois matching data")
     n = orbit.base.level
     d_x = {w.m for w in orbit.decomposition}
-
-    def mod_dx_equal(m1, m2):
-        # equal in W(n)/D_x: w_{m1} w_{m2} in D_x
-        g = m1.gcd(m2)
-        prod = (m1 * m2).quotient(g * g)
-        return prod.is_unit() or prod in d_x
-
-    # homomorphism check on all generator pairs and orders
+    # homomorphism check: each generator's order holds in W(n)/D_x
     for n1, o1 in zip(galois.names, galois.orders):
-        m1 = orbit.m_map[n1]
-        acc = unit_ideal(n.field)
+        w = ALElement(orbit.m_map[n1], n)
+        acc = ALElement(unit_ideal(n.field), n)
         for _ in range(o1):
-            g = acc.gcd(m1)
-            acc = (acc * m1).quotient(g * g)
-        if not (acc.is_unit() or acc in d_x):
+            acc = al_compose(acc, w)
+        if not (acc.is_identity() or acc.m in d_x):
             raise NotAHomomorphism(
                 f"generator {n1} violates its order in W(n)/D_x"
             )

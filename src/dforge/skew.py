@@ -188,31 +188,30 @@ def right_divmod(a, b):
         return SkewPoly(field, ()), a
     rem = list(a.coeffs)
     quo = [field.zero] * (a.deg - m + 1)
-    lead_frobs = {}
-    coef_frobs = {0: list(b.coeffs)}
+    # step k needs b's coefficients below the lead and 1/lead raised to
+    # q^k; Frobenius is a ring map, so (1/lead)^(q^k) = 1/lead^(q^k) and
+    # one inversion serves every step
+    frobs = {0: (b.coeffs[:m], b.lead().inverse())}
 
     def b_frob(k):
-        if k not in coef_frobs:
-            prev = max(coef_frobs)
-            cur = coef_frobs[prev]
+        if k not in frobs:
+            prev = max(frobs)
+            row, inv = frobs[prev]
             for step in range(prev + 1, k + 1):
-                cur = [c.frob() for c in cur]
-                coef_frobs[step] = cur
-        return coef_frobs[k]
+                row, inv = [c.frob() for c in row], inv.frob()
+                frobs[step] = row, inv
+        return frobs[k]
 
     for k in range(a.deg - m, -1, -1):
         top = rem[k + m]
         if top.is_zero():
             continue
-        if k not in lead_frobs:
-            lead_frobs[k] = b_frob(k)[m]
-        qc = top / lead_frobs[k]
+        row, inv = b_frob(k)
+        qc = top * inv
         quo[k] = qc
-        row = b_frob(k)
-        for j in range(m + 1):
-            if row[j].is_zero():
-                continue
-            rem[k + j] = rem[k + j] - qc * row[j]
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                rem[k + j] = rem[k + j] - qc * c
     return SkewPoly(field, quo), SkewPoly(field, rem[:m])
 
 

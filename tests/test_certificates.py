@@ -94,16 +94,17 @@ def test_example35_certificates_are_modular(q):
         assert all(v == "skipped" for _, v in cert.primes[:-1])
 
 
-def test_isogeny_sized_certificate_is_exact():
+def test_isogeny_sized_certificate_is_modular():
+    # short tails take the modular route as well; the exact path agrees
     rng = random.Random(5)
     Q3 = rational_field(3)
     phi = rotation_pair(rng, Q3)[0]
     tails = tails_of(phi, 1)
     assert len(tails) == 2
-    assert max(len(r.num.array) for t in tails for c in t.coeffs
-               for r in c.coords) < drinfeld._MODULAR_MIN_LEN
     cert = certify_non_cm(phi, 1)
-    assert (cert.method, cert.primes, cert.dimension) == ("exact", (), 1)
+    assert (cert.method, cert.dimension) == ("modular", 1)
+    assert cert.primes[-1][1] == "lucky"
+    assert _exact_dimension(Q3, tails, 1) == cert.dimension
 
 
 def test_provenance_takes_no_part_in_equality():

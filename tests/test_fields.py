@@ -15,7 +15,7 @@ from dforge.errors import (
     InvalidAutomorphism,
     ZeroPolynomial,
 )
-from dforge.extfield import GaloisDatum
+from dforge.extfield import ExtField, GaloisDatum
 from dforge.fields import (
     _KRON_MIN_LEN,
     Fq,
@@ -347,6 +347,18 @@ def test_ext_field_axioms_random_triples():
         assert (a * b) * c == a * (b * c)
         if not a.is_zero():
             assert a * a.inverse() == K.one
+
+
+def test_zero_divisor_of_a_reducible_quartic_has_no_inverse():
+    # (x^2 - T)(x^2 - T - 1) has no root in F_3(T), so ExtField accepts it;
+    # x^2 - T is a zero divisor, and its Gauss-Jordan system has no pivot
+    fq = get_fq(3)
+    T, one, zero = fq.rat(fq.poly_T()), fq.rat_one, fq.rat_zero
+    K = ExtField(fq, [T * (T + one), zero, -(T + T + one), zero, one])
+    x = K.gen()
+    with pytest.raises(DivisionByZero):
+        (x * x - K.T()).inverse()
+    assert x * x.inverse() == K.one
 
 
 def test_apply_automorphism_worked_example_shape():

@@ -31,7 +31,7 @@ from dforge.moduli import (
     star_orbit,
     theta,
 )
-from dforge.randgen import rotation_pair, two_prime_point
+from dforge.randgen import random_ext_elem, rotation_pair, two_prime_point
 from dforge.skew import SkewPoly
 
 from helpers import get_fq, quadratic_field, rational_field
@@ -238,6 +238,16 @@ def _biquadratic_field_and_datum():
     inv = alpha.inverse()
     datum = GaloisDatum(K4, [("s", 2, -inv), ("t", 2, inv)])
     return K4, datum
+
+
+def test_quartic_field_inverse_round_trip():
+    K4, _ = _biquadratic_field_and_datum()
+    rng = random.Random(41)
+    for _ in range(12):
+        a = random_ext_elem(rng, K4, 1, poly_only=False, nonzero=True)
+        inv = a.inverse()
+        assert a * inv == K4.one and inv * a == K4.one
+        assert inv.inverse() == a
 
 
 def test_biquadratic_conjugation_is_functorial():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dforge.errors import BothZero, DivisionByZero
 from dforge.extfield import GaloisDatum
-from dforge.fields import Fq
+from dforge.fields import Fq, ResidueField
 from dforge.randgen import random_ext_elem, random_skew
 from dforge.skew import (
     SkewPoly,
@@ -89,6 +89,34 @@ def test_right_divmod_roundtrip(field):
         assert quo * b + rem == a
         assert rem.deg < b.deg
         done += 1
+
+
+@pytest.mark.parametrize("kind", ["residue", "quadratic"])
+def test_right_divmod_with_a_non_base_non_monic_lead(kind):
+    # each quotient coefficient uses a Frobenius power of 1/lead(b)
+    rng = random.Random(53)
+    fq = get_fq(5)
+    if kind == "residue":
+        F = ResidueField(fq, fq.poly([1, 1, 0, 1]))  # T^3 + T + 1
+        assert F.is_field()
+
+        def coeff():
+            return F.reduce([fq.poly([rng.randrange(5) for _ in range(3)])])[0]
+
+        lead = F.reduce([fq.poly([2, 1])])[0]  # T + 2
+    else:
+        F = quadratic_field(5)
+
+        def coeff():
+            return random_ext_elem(rng, F, 1, poly_only=False)
+
+        lead = F.gen() + F.T()
+    for _ in range(6):
+        a = SkewPoly(F, [coeff() for _ in range(6)])
+        b = SkewPoly(F, [coeff(), coeff(), lead])
+        quo, rem = right_divmod(a, b)
+        assert quo * b + rem == a
+        assert rem.deg < b.deg
 
 
 def test_right_gcd_of_zero_and_a():
