@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadConstantTerm,
-    BudgetExceeded,
     CMSuspected,
     CocycleViolation,
     DivisionByZero,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .fields import (RatFunc, ResidueField, cleared_numerators,
                      primitive_numerators, shifted_sum)
-from .ideals import divisors_in_degree_order
+from .ideals import coprime_fractions
 from .skew import SkewPoly, conjugate, right_divmod, right_gcd, skew_eval
 
 # candidates linearized_roots_in_Q may test before it gives up
@@ -555,13 +554,6 @@ def _modular_dimension(field, tails, bound, residue_degree):
     return None, tuple(primes)
 
 
-def _cleared_constraint(gpoly):
-    """(cleared A-coefficients after the valuation strip, the valuation)."""
-    val = gpoly.tau_valuation()
-    coeffs = [c.as_rat() for c in gpoly.coeffs[val:]]
-    return primitive_numerators(gpoly.field.fq, coeffs), val
-
-
 def _lin_eval_is_zero(cleared, u, vpows):
     """sum_i C_i u^(q^i) v^(q^m - q^i) == 0, evaluated in A."""
     fq = u.field
@@ -573,16 +565,15 @@ def _lin_eval_is_zero(cleared, u, vpows):
     return acc.is_zero()
 
 
-def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
+def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None):
     """All c in Q with sum g_i c^(q^i) = 0, for coefficients in Q (e = 1).
 
-    Candidates num/den run over monic divisor pairs of the trailing and
-    leading cleared coefficients (rational root theorem over the PID A);
-    each F_q-line is tested once.  Roots must also kill every constraint
-    in `extra`; the search stops once q^stop_dim - 1 roots are found,
-    which is exhaustive when stop_dim bounds the kernel dimension.
-    `cancel` is polled between candidates; cancellation returns the lines
-    found so far.
+    Candidates u/v are the coprime monic pairs of `coprime_fractions` over
+    the trailing and leading cleared coefficients (rational root theorem
+    over the PID A); each F_q-line is tested once.  Roots must also kill
+    every constraint in `extra`; the search stops once q^stop_dim - 1 roots
+    are found, which is exhaustive when stop_dim bounds the kernel
+    dimension.
     """
     field = gpoly.field
     if field.e != 1:
@@ -590,28 +581,12 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
     fq = field.fq
     if gpoly.is_zero():
         raise DivisionByZero("root search on the zero constraint")
-    cleared, val = _cleared_constraint(gpoly)
-    extra_data = [_cleared_constraint(t) for t in extra if not t.is_zero()]
-    trailing = cleared[0]
-    leading = cleared[-1]
+    val = gpoly.tau_valuation()
+    cleared = primitive_numerators(fq, [c.as_rat() for c in gpoly.coeffs[val:]])
     m = len(cleared) - 1
-    if trailing.is_zero():
-        raise InternalInconsistency("valuation strip left a zero trailing term")
     target = None if stop_dim is None else fq.q ** stop_dim - 1
     units = [fq.elem_packed(u) for u in range(2, fq.q)]
     lines = []
-    u_gen = divisors_in_degree_order(trailing)
-    v_gen = divisors_in_degree_order(leading)
-    u_cache = []
-    v_cache = []
-
-    def fetch(cache, gen, i):
-        while len(cache) <= i:
-            try:
-                cache.append(next(gen))
-            except StopIteration:
-                return None
-        return cache[i]
 
     def q_power_root(r, k):
         for _ in range(k):
@@ -619,25 +594,6 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
             if r is None:
                 return None
         return r
-
-    def satisfies_extra(root):
-        for ecl, eval_ in extra_data:
-            shifted = root
-            for _ in range(eval_):
-                shifted = shifted.frob_power(1)
-            acc = fq.rat_zero
-            cur = shifted
-            for i, c in enumerate(ecl):
-                if i > 0:
-                    cur = cur.frob_power(1)
-                if not c.is_zero():
-                    acc = acc + RatFunc.from_poly(c) * cur
-            if not acc.is_zero():
-                return False
-        return True
-
-    # walk (u, v) pairs by combined degree so small fractions come first
-    import heapq
 
     vpow_cache = {}
 
@@ -649,36 +605,13 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
             vpow_cache[v] = [vq[m] // vq[i] for i in range(m + 1)]
         return vpow_cache[v]
 
-    first_u = fetch(u_cache, u_gen, 0)
-    first_v = fetch(v_cache, v_gen, 0)
-    if first_u is None or first_v is None:
-        raise InternalInconsistency("empty divisor enumeration")
-    heap = [(first_u.degree + first_v.degree, 0, 0)]
-    visited = {(0, 0)}
-    tested = 0
-    while heap:
-        if cancel is not None and cancel():
-            break
-        _, iu, iv = heapq.heappop(heap)
-        u = fetch(u_cache, u_gen, iu)
-        v = fetch(v_cache, v_gen, iv)
-        for niu, niv in ((iu + 1, iv), (iu, iv + 1)):
-            if (niu, niv) in visited:
-                continue
-            nu = fetch(u_cache, u_gen, niu)
-            nv = fetch(v_cache, v_gen, niv)
-            if nu is not None and nv is not None:
-                visited.add((niu, niv))
-                heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
-        tested += 1
-        if tested > ROOT_CANDIDATE_BUDGET:
-            raise BudgetExceeded("root candidates", ROOT_CANDIDATE_BUDGET)
-        if not u.gcd(v).is_one():
-            continue
+    for u, v in coprime_fractions(cleared[0], cleared[-1],
+                                  budget=ROOT_CANDIDATE_BUDGET):
         if not _lin_eval_is_zero(cleared, u, vpows_for(v)):
             continue
         root = q_power_root(RatFunc.make(u, v), val)
-        if root is None or not satisfies_extra(root):
+        if root is None or not all(
+                skew_eval(t, field.from_rat(root)).is_zero() for t in extra):
             continue
         lines.append(root)
         if target is not None and (fq.q - 1) * len(lines) >= target:
@@ -692,7 +625,7 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None, cancel=None):
     return [field.from_rat(r) for r in roots]
 
 
-def intertwiner_space(phi, psi, bound, candidates=None, cancel=None):
+def intertwiner_space(phi, psi, bound, candidates=None):
     """All nonzero u with u phi_T = psi_T u and deg_tau u <= bound.
 
     Complete over K = Q; over a proper extension the caller must supply
@@ -722,14 +655,10 @@ def intertwiner_space(phi, psi, bound, candidates=None, cancel=None):
                 roots.append(field.from_poly(fq.poly(digits)))
         else:
             roots = linearized_roots_in_Q(tails[0], extra=tails[1:],
-                                          stop_dim=dim_bar, cancel=cancel)
+                                          stop_dim=dim_bar)
     else:
-        roots = []
-        for c in candidates:
-            if cancel is not None and cancel():
-                break
-            if all(skew_eval(t, c).is_zero() for t in tails):
-                roots.append(c)
+        roots = [c for c in candidates
+                 if all(skew_eval(t, c).is_zero() for t in tails)]
     out = []
     for c0 in roots:
         if c0.is_zero():

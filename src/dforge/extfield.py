@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import DivisionByZero, FieldMismatch, InvalidAutomorphism
-from .fields import RatFunc
+from .fields import RatFunc, power
 from .groups import CyclicProduct
 
 __all__ = ["ExtField", "ExtFieldElem", "GaloisDatum"]
@@ -33,9 +33,14 @@ class ExtField:
         one[0] = fq.rat_one
         self.one = ExtFieldElem(self, tuple(one))
         self._xpow_table = self._reduction_table()
-        self._xq_table = None
         if self.e > 1:
             self._check_no_rational_root()
+            # (x^j)^q mod f for j < e, the linear part of Frobenius
+            xq = self.gen() ** fq.q
+            table = [self.one, xq]
+            for _ in range(self.e - 2):
+                table.append(table[-1] * xq)
+            self._xq_pows = tuple(table)
 
     def _reduction_table(self):
         # x^k mod f for k = e .. 2e-2
@@ -90,16 +95,6 @@ class ExtField:
 
     def T(self):
         return self.from_poly(self.fq.poly_T())
-
-    def _xq_pows(self):
-        # (x^j)^q mod f for j < e, via square-and-multiply once per field
-        if self._xq_table is None:
-            xq = self.gen() ** self.fq.q
-            table = [self.one, xq]
-            for _ in range(self.e - 2):
-                table.append(table[-1] * xq)
-            self._xq_table = tuple(table[: self.e])
-        return self._xq_table
 
     def __repr__(self):
         return f"ExtField(q={self.fq.q}, e={self.e})"
@@ -228,21 +223,14 @@ class ExtFieldElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.field.one)
 
     def frob(self):
         """The q-power map; coefficientwise spread plus the x^q linear map."""
         fld = self.field
         if fld.e == 1:
             return ExtFieldElem(fld, (self.coords[0].frob_power(1),))
-        table = fld._xq_pows()
+        table = fld._xq_pows
         out = fld.zero
         for j, c in enumerate(self.coords):
             if c.is_zero():

@@ -406,6 +406,24 @@ def _pad(arr, n):
     return out
 
 
+def power(base, e, one):
+    """base^e for an integer e >= 0, by left-to-right square-and-multiply.
+
+    Starts from base itself: one squaring per bit below the top one, and
+    one product by base per set bit among them.  `one` is returned for e = 0.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    if e == 0:
+        return one
+    out = base
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
+
 # Shorter-operand length from which products with all coefficients in F_p
 # use _kron_conv.  Measured over F_3, F_5, F_7: np.convolve is faster below
 # about 220 coefficients, the two are within 20 % up to 300, and from 300 on
@@ -596,17 +614,7 @@ class PolyA:
         return divmod(self, other)[1]
 
     def __pow__(self, e):
-        """self^e for an integer e >= 0, by square-and-multiply."""
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = None, self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self.field.poly_one if out is None else out
+        return power(self, e, self.field.poly_one)
 
     def gcd(self, other):
         return PolyA(self.field, self.field.arr_gcd(self._c, other._c))
@@ -877,14 +885,7 @@ class RatFunc:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.rat_one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.field.rat_one)
 
     def __repr__(self):
         if self.den.is_one():

@@ -1,4 +1,6 @@
-"""Ideals of A = F_q[T] and polynomial factorization.
+"""Ideals of A = F_q[T], polynomial factorization, and the one walk over
+candidates in A: divisors in degree order and the coprime fractions of the
+rational root theorem, shared by every root search.
 
 A is a principal ideal domain: an ideal is stored by its monic generator
 and "divides" is polynomial divisibility.  Equal-degree splitting draws
@@ -7,6 +9,7 @@ the returned factor list is sorted canonically either way.
 """
 from __future__ import annotations
 
+import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
@@ -14,6 +17,8 @@ from .fields import (PolyA, RatFunc, is_irreducible, poly_to_text,
                      primitive_numerators)
 
 _DEFAULT_SEED = 0xD4
+# monic divisor sets larger than this are refused with BudgetExceeded
+_DIVISOR_CAP = 200_000
 
 
 class IdealA:
@@ -221,40 +226,28 @@ def factor_ideal(n, rng=None):
     return out
 
 
-def monic_divisors(f, rng=None, cap=200000):
-    """All monic divisors of a nonzero polynomial (via its factorization)."""
-    if f.is_zero():
-        raise ZeroPolynomial("divisors of zero requested")
-    field = f.field
-    divisors = [field.poly_one]
-    total = 1
-    for prime, mult in factor_ideal(IdealA(f), rng):
-        total *= mult + 1
-        if total > cap:
-            raise BudgetExceeded("monic divisors", cap)
-        powers = [field.poly_one]
-        for _ in range(mult):
-            powers.append(powers[-1] * prime.gen)
-        divisors = [d * pw for d in divisors for pw in powers]
-    return divisors
+def monic_divisors(f, rng=None, cap=_DIVISOR_CAP):
+    """All monic divisors of a nonzero polynomial, in nondecreasing degree."""
+    return list(divisors_in_degree_order(f, rng, cap))
 
 
-def divisors_in_degree_order(f, rng=None):
+def divisors_in_degree_order(f, rng=None, cap=None):
     """Yield the monic divisors of f in nondecreasing degree, lazily.
 
     Heap walk over the exponent lattice of the factorization; only popped
     divisors are materialized, so early-stopping consumers never touch the
-    full (possibly huge) divisor set.
+    full (possibly huge) divisor set.  With a cap, a divisor set larger
+    than cap raises BudgetExceeded before the first divisor.
     """
-    import heapq
-
     if f.is_zero():
         raise ZeroPolynomial("divisors of zero requested")
     field = f.field
     facs = factor_ideal(IdealA(f), rng)
-    if not facs:
-        yield field.poly_one
-        return
+    total = 1
+    for _, mult in facs:
+        total *= mult + 1
+    if cap is not None and total > cap:
+        raise BudgetExceeded("monic divisors", cap)
     degs = [p.degree for p, _ in facs]
     mults = [m for _, m in facs]
     start = (0,) * len(facs)
@@ -276,18 +269,64 @@ def divisors_in_degree_order(f, rng=None):
 def divisors_of_degree(ideal, k, rng=None):
     """Monic divisor ideals of the given degree."""
     out = []
-    for d in monic_divisors(ideal.gen, rng):
+    for d in divisors_in_degree_order(ideal.gen, rng):
+        if d.degree > k:
+            break
         if d.degree == k:
             out.append(IdealA(d))
     return out
 
 
+def coprime_fractions(trailing, leading, budget=None, cap=None, rng=None):
+    """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
+
+    These are the candidates u/v of the rational root theorem over the PID
+    A, up to a unit of F_q.  Pairs come in nondecreasing deg u + deg v, by
+    a heap walk over the indices of two lazy divisor streams, so small
+    fractions come first and an early-stopping consumer never fetches
+    divisors beyond the frontier.  Popping more than `budget` pairs,
+    coprime or not, raises BudgetExceeded; `cap` bounds each divisor set.
+    """
+    u_gen = divisors_in_degree_order(trailing, rng, cap)
+    v_gen = divisors_in_degree_order(leading, rng, cap)
+    u_cache = []
+    v_cache = []
+
+    def fetch(cache, gen, i):
+        while len(cache) <= i:
+            try:
+                cache.append(next(gen))
+            except StopIteration:
+                return None
+        return cache[i]
+
+    heap = [(0, 0, 0)]
+    visited = {(0, 0)}
+    tested = 0
+    while heap:
+        _, iu, iv = heapq.heappop(heap)
+        u = fetch(u_cache, u_gen, iu)
+        v = fetch(v_cache, v_gen, iv)
+        for niu, niv in ((iu + 1, iv), (iu, iv + 1)):
+            if (niu, niv) in visited:
+                continue
+            nu = fetch(u_cache, u_gen, niu)
+            nv = fetch(v_cache, v_gen, niv)
+            if nu is not None and nv is not None:
+                visited.add((niu, niv))
+                heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
+        tested += 1
+        if budget is not None and tested > budget:
+            raise BudgetExceeded("root candidates", budget)
+        if u.gcd(v).is_one():
+            yield u, v
+
+
 def rational_roots(coeffs, rng=None):
     """All roots in Q of a nonzero polynomial with coefficients in Q.
 
-    Clears denominators to a primitive polynomial over A and enumerates
-    num/den candidates through the rational root theorem over the PID A,
-    testing each exactly.
+    Clears denominators to a primitive polynomial over A and tests each
+    candidate xi*u/v of `coprime_fractions` exactly, xi in F_q^x.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():
@@ -308,7 +347,6 @@ def rational_roots(coeffs, rng=None):
         cleared = cleared[low:]
         if len(cleared) == 1:
             return roots
-    trailing, leading = cleared[0], cleared[-1]
 
     def horner(x):
         acc = field.rat_zero
@@ -316,15 +354,12 @@ def rational_roots(coeffs, rng=None):
             acc = acc * x + RatFunc.from_poly(c)
         return acc
 
-    units = [field.elem(u) for u in range(1, field.q)]
-    for u in monic_divisors(trailing, rng):
-        for v in monic_divisors(leading, rng):
-            if not u.gcd(v).is_one():
-                continue
-            base = RatFunc.make(u, v)
-            for xi in units:
-                cand = base * RatFunc.from_poly(field.poly([xi]))
-                if horner(cand).is_zero():
-                    roots.append(cand)
+    units = [field.elem_packed(xi) for xi in range(1, field.q)]
+    for u, v in coprime_fractions(cleared[0], cleared[-1], cap=_DIVISOR_CAP,
+                                  rng=rng):
+        for xi in units:
+            cand = RatFunc(field, u.scale(xi), v)
+            if horner(cand).is_zero():
+                roots.append(cand)
     roots.sort(key=lambda r: (r.den.degree, r.num.degree, repr(r)))
     return roots

@@ -379,15 +379,13 @@ def factor_prime_power(iso, certificate_factory=None):
     return out
 
 
-def find_isogenies(phi, psi, bound, candidates=None, certificate=None,
-                   cancel=None):
+def find_isogenies(phi, psi, bound, candidates=None, certificate=None):
     """All intertwiners of tau-degree <= bound as validated isogenies.
 
     Complete over K = Q; candidate-restricted over proper extensions (the
-    caller supplies constant terms).  `cancel` is polled between constant
-    term candidates and truncates the search cooperatively.
+    caller supplies constant terms).
     """
-    space = intertwiner_space(phi, psi, bound, candidates, cancel=cancel)
+    space = intertwiner_space(phi, psi, bound, candidates)
     return [verify_isogeny(phi, psi, u, certificate) for u in space]
 
 

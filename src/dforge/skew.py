@@ -8,6 +8,7 @@ operations raise rather than coerce.
 from __future__ import annotations
 
 from .errors import BothZero, DivisionByZero, FieldMismatch
+from .fields import power
 
 __all__ = [
     "SkewPoly",
@@ -126,14 +127,7 @@ class SkewPoly:
         return -1
 
     def __pow__(self, e):
-        out = SkewPoly.from_scalar(self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, SkewPoly.from_scalar(self.field.one))
 
     def _same(self, other):
         if other.field is not self.field:

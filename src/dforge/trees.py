@@ -152,7 +152,6 @@ class SubTree:
     label_class: list
     classes: list
     actions: dict
-    max_degree: int
 
     @property
     def n_vertices(self):
@@ -160,12 +159,6 @@ class SubTree:
 
     def bfs(self, start):
         return _bfs(self.adj, start)
-
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def leaves(self):
-        return [v for v in range(len(self.adj)) if len(self.adj[v]) <= 1]
 
 
 @dataclass(frozen=True)
@@ -299,14 +292,12 @@ def reconstruct_subtree(datum, p):
                 raise InternalInconsistency("induced action breaks adjacency")
         actions[name] = tuple(vperm)
 
-    max_degree = max((len(a) for a in adj), default=0)
     return SubTree(
         adj=adj,
         class_vertex=class_vertex,
         label_class=label_class,
         classes=classes,
         actions=actions,
-        max_degree=max_degree,
     )
 
 

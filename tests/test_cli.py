@@ -211,6 +211,19 @@ def test_cli_reducible_fq_modulus_is_parse_error(tmp_path, capsys):
     assert "parse error:" in out.err and "modulus is reducible" in out.err
 
 
+def test_cli_reducible_ext_minpoly_over_f9_is_parse_error(tmp_path, capsys):
+    # x^2 + T^2 = (x - yT)(x + yT) over F_9 = F_3[y]/(y^2 + 1)
+    doc = {"field": {"p": 3, "fq_modulus": [1, 0, 1],
+                     "ext_minpoly": ["T^2", "0", "1"]},
+           "modules": {"phi": "T + t + t^2"}, "params": {"module": "phi"}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["j", "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "parse error:" in out.err and "not irreducible" in out.err
+
+
 def test_cli_usage_errors_are_parse_errors():
     for args in (["bogus"], ["verify", "--nope"], ["verify", "--seed", "5"]):
         out = run_cli(args)

@@ -34,6 +34,7 @@ from dforge.ideals import (
     rational_roots,
 )
 from dforge.randgen import random_ext_elem, random_fq_poly, random_ratfunc
+from dforge.skew import SkewPoly
 
 from helpers import (
     brute_force_linear_factors,
@@ -105,19 +106,34 @@ def test_divmod_by_constant():
     assert quo.is_zero() and rem.is_zero()
 
 
+def _assert_powers(bases, one, exponents):
+    for a in bases:
+        products = [one]
+        for _ in range(max(exponents)):
+            products.append(products[-1] * a)
+        for e in exponents:
+            assert a ** e == products[e], (a, e)
+
+
 @pytest.mark.parametrize("fq", [F3, F9, F4, get_fq(5)], ids=lambda f: f"q{f.q}")
 def test_poly_pow_against_repeated_products(fq):
+    # PolyA, RatFunc, K = Q(sqrt(T + 1)) and K{tau} share one square-and-multiply
     rng = random.Random(fq.q)
     bases = [fq.poly_zero, fq.poly_one]
     bases += [random_fq_poly(rng, fq, 6, nonzero=True) for _ in range(4)]
-    for a in bases:
-        products = [fq.poly_one]
-        for _ in range(37):
-            products.append(products[-1] * a)
-        for e in (0, 1, 2, 37):
-            assert a ** e == products[e], (a, e)
+    _assert_powers(bases, fq.poly_one, (0, 1, 2, 37))
     with pytest.raises(ValueError):
         fq.poly_T() ** -1
+    rats = [fq.rat_zero] + [random_ratfunc(rng, fq, 2) for _ in range(3)]
+    _assert_powers(rats, fq.rat_one, (0, 1, 2, 13))
+    D = fq.rat(fq.poly([1, 1]))
+    K = ExtField(fq, [-D, fq.rat_zero, fq.rat_one])
+    elems = [K.zero, K.gen()] + [random_ext_elem(rng, K, 1) for _ in range(2)]
+    _assert_powers(elems, K.one, (0, 1, 2, 13))
+    z = random_ext_elem(rng, K, 1, nonzero=True)
+    assert z ** -3 == (z * z * z).inverse()
+    skews = [SkewPoly(K, (random_ext_elem(rng, K, 1), K.one)) for _ in range(2)]
+    _assert_powers(skews, SkewPoly.from_scalar(K.one), (0, 1, 2, 5))
 
 
 def test_primitive_numerators_cases():
@@ -444,28 +460,43 @@ def test_rational_roots_examples():
         rational_roots([F3.rat_zero])
 
 
-def test_rational_roots_planted():
+@pytest.mark.parametrize("fq", [F3, F9], ids=lambda f: f"q{f.q}")
+def test_rational_roots_planted(fq):
     rng = random.Random(37)
     for _ in range(20):
-        r1 = random_ratfunc(rng, F3, 2)
-        r2 = random_ratfunc(rng, F3, 2)
-        irred = RatFunc.from_poly(F3.poly([1, 0, 1]))  # no rational roots
-        one = F3.rat_one
-        # (x - r1)(x - r2)(x^2 + 1)
+        r1 = random_ratfunc(rng, fq, 2)
+        r2 = random_ratfunc(rng, fq, 2)
+        irred = RatFunc.from_poly(fq.poly([1, 0, 1]))  # no rational roots
+        one = fq.rat_one
+        # (x - r1)(x - r2)(x^2 + T^2 + 1)
         lin1 = [-r1, one]
         lin2 = [-r2, one]
-        quad = [irred, F3.rat_zero, one]
+        quad = [irred, fq.rat_zero, one]
 
         def polymul(a, b):
-            out = [F3.rat_zero] * (len(a) + len(b) - 1)
+            out = [fq.rat_zero] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     out[i + j] = out[i + j] + x * y
             return out
 
         g = polymul(polymul(lin1, lin2), quad)
-        roots = rational_roots(g)
-        assert set(map(repr, roots)) == {repr(r1), repr(r2)}
+        roots = [repr(r) for r in rational_roots(g)]
+        assert sorted(roots) == sorted({repr(r1), repr(r2)})
+
+
+def test_rational_roots_use_every_unit_of_f9():
+    # F_9 = F_3[y]/(y^2 + 1): a root's unit need not lie in F_3
+    T = F9.rat(F9.poly_T())
+    yT = RatFunc.from_poly(F9.poly_T().scale(F9.elem_packed(3)))
+    # x^2 + T^2 = (x - yT)(x + yT)
+    g = [T * T, F9.rat_zero, F9.rat_one]
+    assert sorted(map(repr, rational_roots(g))) == sorted([repr(yT), repr(-yT)])
+    with pytest.raises(ValueError):
+        ExtField(F9, g)
+    # x^2 - T^2 = (x - T)(x - 2T): each root once
+    g = [-(T * T), F9.rat_zero, F9.rat_one]
+    assert [repr(r) for r in rational_roots(g)] == [repr(T), repr(-T)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,6 +645,20 @@ def test_factor_ideal_multiplicities_through_pth_roots(fq):
         if eg:
             want[IdealA(g)] = eg
         assert dict(factor_ideal(IdealA(f ** ef * g ** eg))) == want, (ef, eg)
+
+
+def test_candidate_walk_stays_in_ideals():
+    # ideals.py is the one place that enumerates divisors and fraction
+    # candidates in A: no other module walks a heap or a divisor stream
+    walk = re.compile(r"\b(heapq|divisors_in_degree_order)\b")
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        if path.name == "ideals.py":
+            continue
+        for no, line in enumerate(path.read_text().splitlines(), 1):
+            if walk.search(line):
+                hits.append(f"{path.name}:{no}: {line.strip()}")
+    assert hits == []
 
 
 def test_packed_layout_stays_in_fields():

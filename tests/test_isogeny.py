@@ -414,23 +414,6 @@ def test_lemma_2_9_scalar_ratio():
         assert len(ratios) == 1
 
 
-def test_find_isogenies_cancellation():
-    rng = random.Random(53)
-    phi, psi, fwd, back = safe_pair(rng, Q3)
-    calls = [0]
-
-    def cancel():
-        calls[0] += 1
-        return True  # cancel immediately
-
-    found = find_isogenies(phi, psi, fwd.deg, certificate=CERTS(phi, 2),
-                           cancel=cancel)
-    assert found == [] and calls[0] >= 1
-    cands = [Q3.from_poly(F3.poly([1])), Q3.from_poly(F3.poly([2]))]
-    found = find_isogenies(phi, phi, 0, candidates=cands, cancel=cancel)
-    assert found == []
-
-
 def test_normalize_isogeny_trivial_character():
     rng = random.Random(43)
     datum = GaloisDatum(K3, [("s", 2, -K3.gen())])

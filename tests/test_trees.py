@@ -90,7 +90,7 @@ def test_reconstruct_edge_and_star():
     t3 = reconstruct_subtree(d3, P_T)
     assert t3.n_vertices == 4
     steiner = [v for v in range(4) if v not in t3.class_vertex]
-    assert len(steiner) == 1 and t3.degree(steiner[0]) == 3
+    assert len(steiner) == 1 and len(t3.adj[steiner[0]]) == 3
 
 
 def test_reconstruct_rejects_half_integer_split():
@@ -134,7 +134,7 @@ def test_tree_center_paths():
     t = reconstruct_subtree(d, P_T)
     c = tree_center(t)
     assert c.kind == "vertex"
-    assert t.degree(c.vertices[0]) == 2
+    assert len(t.adj[c.vertices[0]]) == 2
     d2 = make_datum([[0, 3], [3, 0]])
     t2 = reconstruct_subtree(d2, P_T)
     c2 = tree_center(t2)
@@ -163,7 +163,7 @@ def test_tree_center_matches_pruning_oracle():
 ])
 def test_tree_center_rejects_non_trees(adj):
     graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
-                    actions={}, max_degree=max(len(a) for a in adj))
+                    actions={})
     with pytest.raises(InternalInconsistency):
         tree_center(graph)
 
