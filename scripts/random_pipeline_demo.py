@@ -51,7 +51,7 @@ def main():
         js, jt = y.theta_pair()
         print(f"  w_{ideal_to_text(w.m)} moves the point to "
               f"theta = ({js!r}, {jt!r})")
-    d = dual(iso, target_certificate=certs(tgt, chi.deg))
+    d = dual(iso, certs)
     print(f"dual  = {skew_to_text(d.mu)}")
     print(f"done in {time.time() - t0:.2f}s")
     return 0

@@ -6,12 +6,11 @@ are handled through right divisibility, never as sets of torsion points.
 """
 
 from .errors import AlgebraError, ParseError
-from .fields import Fq, FqElem, PolyA, RatFunc
+from .fields import Fq, FqElem, PolyA, RatFunc, is_irreducible
 from .extfield import ExtField, ExtFieldElem, GaloisDatum
 from .ideals import (
     IdealA,
     factor_ideal,
-    is_irreducible,
     monic_divisors,
     rational_roots,
     unit_ideal,

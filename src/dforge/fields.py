@@ -851,11 +851,7 @@ class RatFunc:
         if not g2.is_one():
             c, b = c // g2, b // g2
         num = a * c
-        den = b * d
-        if not den.is_monic():
-            inv = den.lc().inverse()
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc(self.field, num, den)
+        return RatFunc(self.field, num, b * d)
 
     def inverse(self):
         if self.is_zero():

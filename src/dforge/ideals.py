@@ -13,8 +13,7 @@ import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import (PolyA, RatFunc, is_irreducible, poly_to_text,
-                     primitive_numerators)
+from .fields import PolyA, RatFunc, poly_to_text, primitive_numerators
 
 _DEFAULT_SEED = 0xD4
 # monic divisor sets larger than this are refused with BudgetExceeded

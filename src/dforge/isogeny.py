@@ -66,12 +66,15 @@ class Isogeny:
     def certificate_bound(self):
         return None if self.certificate is None else self.certificate.bound
 
-    def require_certificate(self, bound=None):
-        need = self.mu.deg if bound is None else bound
-        if self.certificate is None or not self.certificate.covers(self.source, need):
-            raise MissingCertificate(
-                f"operation needs the source certified non-CM to bound {need}"
-            )
+    def is_certified(self):
+        """True when the certificate covers the source at deg_tau mu."""
+        return (self.certificate is not None
+                and self.certificate.covers(self.source, self.mu.deg))
+
+    def require_certificate(self):
+        if not self.is_certified():
+            raise MissingCertificate("operation needs the source certified "
+                                     f"non-CM to bound {self.mu.deg}")
 
     @cached_property
     def annihilator_ideal(self):
@@ -256,8 +259,14 @@ def is_primitive(iso):
     return iso.is_primitive()
 
 
-def dual(iso, target_certificate=None):
-    """The unique eta with eta mu = phi_{a_n} and mu eta = psi_{a_n}."""
+def dual(iso, certificate_factory=None):
+    """The unique eta with eta mu = phi_{a_n} and mu eta = psi_{a_n}.
+
+    deg_tau eta = deg_tau mu, so the factory, when given, certifies the
+    target to that bound.
+    """
+    cert = (certificate_factory(iso.target, iso.mu.deg)
+            if certificate_factory else None)
     deg, _, _ = iso.degree_parts()
     a_n = deg.gen
     quo, rem = right_divmod(phi_a(iso.source, a_n), iso.mu)
@@ -268,25 +277,21 @@ def dual(iso, target_certificate=None):
         raise InternalInconsistency("dual does not reproduce phi_{a_n}")
     if iso.mu * eta != phi_a(iso.target, a_n):
         raise InternalInconsistency("dual does not reproduce psi_{a_n}")
-    return verify_isogeny(iso.target, iso.source, eta, target_certificate)
+    return verify_isogeny(iso.target, iso.source, eta, cert)
 
 
-def compose(g, f, certificate=None):
+def compose(g, f, certificate_factory=None):
     """The composite isogeny g o f; degree multiplicativity checked when
-    the certificates at hand allow computing all three degrees."""
+    all three isogenies are certified.  The factory, when given, certifies
+    f's source to deg f + deg g; without one the composite keeps f's
+    certificate."""
     if f.target != g.source:
         raise ChainMismatch("target of the first leg differs from the source "
                             "of the second")
-    cert = certificate if certificate is not None else f.certificate
+    cert = (certificate_factory(f.source, f.mu.deg + g.mu.deg)
+            if certificate_factory else f.certificate)
     out = verify_isogeny(f.source, g.target, g.mu * f.mu, cert)
-    if (
-        out.certificate is not None
-        and out.certificate.covers(out.source, out.mu.deg)
-        and f.certificate is not None
-        and f.certificate.covers(f.source, f.mu.deg)
-        and g.certificate is not None
-        and g.certificate.covers(g.source, g.mu.deg)
-    ):
+    if out.is_certified() and f.is_certified() and g.is_certified():
         if out.degree_ideal() != f.degree_ideal() * g.degree_ideal():
             raise InternalInconsistency("degree multiplicativity failed")
     return out
@@ -329,7 +334,7 @@ def project_p(iso, p, certificate_factory=None):
     cert_mid = certificate_factory(mid, quo.deg) if certificate_factory else None
     p_part = verify_isogeny(phi, mid, mu_p, iso.certificate)
     coprime = verify_isogeny(mid, iso.target, quo, cert_mid)
-    if iso.certificate is not None and iso.certificate.covers(phi, iso.mu.deg):
+    if iso.is_certified():
         dp = p_part.degree_ideal()
         if dp.valuation(p) * p.degree != dp.degree:
             raise InternalInconsistency("p-part degree is not a p-power")
@@ -379,14 +384,16 @@ def factor_prime_power(iso, certificate_factory=None):
     return out
 
 
-def find_isogenies(phi, psi, bound, candidates=None, certificate=None):
+def find_isogenies(phi, psi, bound, candidates=None, certificate_factory=None):
     """All intertwiners of tau-degree <= bound as validated isogenies.
 
     Complete over K = Q; candidate-restricted over proper extensions (the
-    caller supplies constant terms).
+    caller supplies constant terms).  The factory, when given, certifies phi
+    to the bound.
     """
+    cert = certificate_factory(phi, bound) if certificate_factory else None
     space = intertwiner_space(phi, psi, bound, candidates)
-    return [verify_isogeny(phi, psi, u, certificate) for u in space]
+    return [verify_isogeny(phi, psi, u, cert) for u in space]
 
 
 def normalize_isogeny(iso, galois):

@@ -21,11 +21,10 @@ from .errors import (
     NotGStable,
     NotAHomomorphism,
 )
-from .drinfeld import certify_non_cm, conjugate_module, j_invariant, phi_a
+from .drinfeld import conjugate_module, j_invariant, phi_a
 from .ideals import IdealA, unit_ideal
 from .isogeny import (
     Isogeny,
-    compose as iso_compose,
     dual as iso_dual,
     target_of,
     verify_isogeny,
@@ -129,7 +128,7 @@ def points_equal(x, y):
     return x.level == y.level and x.theta_pair() == y.theta_pair()
 
 
-def al_apply(w, x, certificate_factory=None):
+def al_apply(w, x, certificate_factory):
     """The involution action on a point, through the m-part diagram.
 
     mu splits as mu_{n'} mu_m with mu_m = rgcd(mu, phi_{a_m}); the image
@@ -147,7 +146,6 @@ def al_apply(w, x, certificate_factory=None):
     if w.is_identity():
         return x
     phi = iso.source
-    factory = certificate_factory or certify_non_cm
     a_m = w.m.gen
     mu_m = right_gcd(iso.mu, phi_a(phi, a_m))
     phi_m = target_of(phi, mu_m)
@@ -156,8 +154,7 @@ def al_apply(w, x, certificate_factory=None):
     if not rem.is_zero():
         raise InternalInconsistency("kernel union is not divisible by the m-part")
     psi_m = target_of(phi_m, eta)
-    cert = factory(phi_m, eta.deg)
-    out = verify_isogeny(phi_m, psi_m, eta, cert)
+    out = verify_isogeny(phi_m, psi_m, eta, certificate_factory(phi_m, eta.deg))
     if out.degree_ideal() != n:
         raise InternalInconsistency("Atkin-Lehner image has the wrong degree")
     if not out.is_cyclic():
@@ -165,7 +162,7 @@ def al_apply(w, x, certificate_factory=None):
     return ModuliPoint(out)
 
 
-def diagram_closure_check(w, x, certificate_factory=None):
+def diagram_closure_check(w, x, certificate_factory):
     """lambda eta_m = dual(mu_m) from diagram (4.1), checked literally."""
     iso = x.iso
     phi = iso.source
@@ -178,9 +175,9 @@ def diagram_closure_check(w, x, certificate_factory=None):
     eta = y.iso.mu
     eta_m = right_gcd(eta, phi_a(phi_m, a_m))
     # dual of mu_m: phi_m -> phi
-    factory = certificate_factory or certify_non_cm
-    mu_m_iso = verify_isogeny(phi, phi_m, mu_m, factory(phi, mu_m.deg))
-    hat = iso_dual(mu_m_iso, target_certificate=factory(phi_m, mu_m.deg))
+    mu_m_iso = verify_isogeny(phi, phi_m, mu_m,
+                              certificate_factory(phi, mu_m.deg))
+    hat = iso_dual(mu_m_iso, certificate_factory)
     # hat.mu = lambda * eta_m for a scalar lambda in K^x
     lam = None
     for a, b in zip(hat.mu.coeffs, eta_m.coeffs):
@@ -216,7 +213,7 @@ class StarOrbit:
         return len(seen)
 
 
-def star_orbit(x, galois=None, certificate_factory=None):
+def star_orbit(x, certificate_factory, galois=None):
     """All W(n)-translates; with Galois data, also the w_{m_s} matching
     each generator conjugate through Theta pairs."""
     iso = x.iso
@@ -285,19 +282,13 @@ def descent_data(orbit, galois):
     basis = []
     for name in galois.names:
         vec = [1 if p.divides(orbit.m_map[name]) else 0 for p in primes]
+        # reduce against the collected basis over F_2
         for b in basis:
-            if vec == b:
-                break
-        else:
-            if any(vec):
-                # reduce against the collected basis over F_2
-                v = vec[:]
-                for b in basis:
-                    lead = next((i for i, x in enumerate(b) if x), None)
-                    if lead is not None and v[lead]:
-                        v = [(a + c) % 2 for a, c in zip(v, b)]
-                if any(v):
-                    basis.append(v)
+            lead = next(i for i, x in enumerate(b) if x)
+            if vec[lead]:
+                vec = [(a + c) % 2 for a, c in zip(vec, b)]
+        if any(vec):
+            basis.append(vec)
     rank = len(basis)
     return dict(orbit.m_map), 2 ** rank
 

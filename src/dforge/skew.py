@@ -134,19 +134,30 @@ class SkewPoly:
             raise FieldMismatch("skew polynomials over different fields")
 
     def __repr__(self):
+        """The `c0 + c1*t + c2*t^2` grammar that textform.parse_skew reads."""
         if self.is_zero():
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            cs = repr(c)
+            cs = _scalar_inline(c)
             if i == 0:
                 parts.append(cs)
+            elif cs == "1":
+                parts.append("t" if i == 1 else f"t^{i}")
             else:
-                t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c.is_one() else f"({cs})*{t}")
+                parts.append(f"{cs}*t" if i == 1 else f"{cs}*t^{i}")
         return " + ".join(parts)
+
+
+def _scalar_inline(a):
+    """Scalar coefficient rendered for use inside a skew term."""
+    def coord(c):
+        return repr(c) if c.is_constant() else f"({c!r})"
+    if a.field.e == 1:
+        return coord(a.coords[0])
+    return "[" + ", ".join(coord(c) for c in a.coords) + "]"
 
 
 def skew_mul(a, b):

@@ -224,30 +224,8 @@ def ext_to_text(a):
     return [repr(c) for c in a.coords]
 
 
-def _scalar_inline(a):
-    """Scalar coefficient rendered for use inside a skew term."""
-    def coord(c):
-        return repr(c) if c.is_constant() else f"({c!r})"
-    if a.field.e == 1:
-        return coord(a.coords[0])
-    return "[" + ", ".join(coord(c) for c in a.coords) + "]"
-
-
 def skew_to_text(a):
-    if a.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(a.coeffs):
-        if c.is_zero():
-            continue
-        cs = _scalar_inline(c)
-        if i == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("t" if i == 1 else f"t^{i}")
-        else:
-            parts.append(f"{cs}*t" if i == 1 else f"{cs}*t^{i}")
-    return " + ".join(parts)
+    return repr(a)
 
 
 def ideal_to_text(n):

@@ -547,7 +547,7 @@ def _primitive_reduce(iso, certificate_factory):
     return verify_isogeny(src, iso.target, mu, cert)
 
 
-def materialize_center(datum, result, certificate_factory=None):
+def materialize_center(datum, result, certificate_factory):
     """Realize the glued descriptor as a module plus a cyclic n-isogeny.
 
     Walks concrete isogeny paths: the p-part of base->label legs projected
@@ -555,7 +555,6 @@ def materialize_center(datum, result, certificate_factory=None):
     prime at a time.  Raises NotRealizable when a needed concrete leg is
     missing.
     """
-    from .drinfeld import CertificateCache
     from .isogeny import (
         compose as iso_compose,
         dual as iso_dual,
@@ -567,7 +566,7 @@ def materialize_center(datum, result, certificate_factory=None):
     if not datum.modules:
         raise NotRealizable("orbit datum carries no concrete modules")
     base = datum.modules[0]
-    factory = certificate_factory or CertificateCache()
+    factory = certificate_factory
 
     def leg(i):
         """Concrete primitive isogeny base -> conjugate i."""
@@ -579,7 +578,7 @@ def materialize_center(datum, result, certificate_factory=None):
             rev = datum.isogenies.get((i, 0))
             if rev is None:
                 raise NotRealizable(f"no concrete leg between the base and {i}")
-            iso = iso_dual(rev, target_certificate=factory(base, rev.mu.deg))
+            iso = iso_dual(rev, factory)
         if iso.certificate is None:
             iso = verify_isogeny(iso.source, iso.target, iso.mu,
                                  factory(iso.source, iso.mu.deg))
@@ -620,31 +619,17 @@ def materialize_center(datum, result, certificate_factory=None):
             vertex = descriptor[p]
             target_mod, to_vertex = vertex_module(p, tree, vertex)
             # transport to the current glued module
-            omega = iso_compose(
-                to_vertex,
-                iso_dual(cur_iso, target_certificate=factory(cur_iso.target,
-                                                             cur_iso.mu.deg)),
-                certificate=factory(cur_iso.target,
-                                    to_vertex.mu.deg + cur_iso.mu.deg),
-            )
+            omega = iso_compose(to_vertex, iso_dual(cur_iso, factory), factory)
             omega = _primitive_reduce(omega, factory)
             _, p_part, _ = project_p(omega, p, certificate_factory=factory)
-            cur_iso = iso_compose(
-                p_part, cur_iso,
-                certificate=factory(cur_iso.source,
-                                    p_part.mu.deg + cur_iso.mu.deg),
-            )
+            cur_iso = iso_compose(p_part, cur_iso, factory)
             cur_iso = _primitive_reduce(cur_iso, factory)
         return cur_iso
 
     iso_psi = glue(result.psi_descriptor)
     iso_psi_prime = glue(result.psi_prime_descriptor)
     psi = iso_psi.target
-    bridge = iso_compose(
-        iso_psi_prime,
-        iso_dual(iso_psi, target_certificate=factory(psi, iso_psi.mu.deg)),
-        certificate=factory(psi, iso_psi.mu.deg + iso_psi_prime.mu.deg),
-    )
+    bridge = iso_compose(iso_psi_prime, iso_dual(iso_psi, factory), factory)
     bridge = _primitive_reduce(bridge, factory)
     if bridge.degree_ideal() != result.n:
         raise InternalInconsistency("materialized isogeny degree differs from n")
@@ -668,24 +653,14 @@ def _walk_to_vertex(p, leg_x, leg_y, steps, factory):
         return px.target, px
     _, py, _ = project_p(leg_y, p, certificate_factory=factory)
     # primitive p-power X -> Y through the base
-    rho = iso_compose(
-        py,
-        iso_dual(px, target_certificate=factory(px.target, px.mu.deg)),
-        certificate=factory(px.target, px.mu.deg + py.mu.deg),
-    )
+    rho = iso_compose(py, iso_dual(px, factory), factory)
     rho = _primitive_reduce(rho, factory)
     chain = factor_prime_power(rho, certificate_factory=factory)
     if steps > len(chain):
         raise InternalInconsistency("walk longer than the p-power chain")
     walked = chain[0]
     for link in chain[1:steps]:
-        walked = iso_compose(
-            link, walked,
-            certificate=factory(walked.source, walked.mu.deg + link.mu.deg),
-        )
-    reach = iso_compose(
-        walked, px,
-        certificate=factory(px.source, px.mu.deg + walked.mu.deg),
-    )
+        walked = iso_compose(link, walked, factory)
+    reach = iso_compose(walked, px, factory)
     reach = _primitive_reduce(reach, factory)
     return reach.target, reach

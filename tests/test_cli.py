@@ -20,7 +20,7 @@ from dforge.textform import (
 )
 from dforge.errors import EvenCharacteristic, ParseError
 
-from helpers import get_fq, quadratic_field
+from helpers import get_fq, quadratic_field, rational_field
 
 F3 = get_fq(3)
 K3 = quadratic_field(3)
@@ -64,16 +64,20 @@ def run_cli(args, doc=None, tmp_path=None, env=None):
 
 
 def test_parse_serialize_roundtrip_fixtures():
+    f9 = (1, 0, 1)  # F_9 = F_3[y]/(y^2 + 1); `[i0,i1]` is i0 + i1*y
     fixtures = [
-        "T + 2*t + t^2",
-        "1 + 2*T + T^2",
-        "(T) / (1 + T)",
-        "[1, 2] + [2, 0]*t",
-        "[(T), ((1 + T) / (T))] + t^3",
+        ("T + 2*t + t^2", K3),
+        ("1 + 2*T + T^2", K3),
+        ("(T) / (1 + T)", K3),
+        ("[1, 2] + [2, 0]*t", K3),
+        ("[(T), ((1 + T) / (T))] + t^3", K3),
+        ("[1,2]*T + [0,1]*t", rational_field(3, f9)),
+        ("[[1,2]*T, [0,1]] + [1, ([2,2])/(T)]*t", quadratic_field(3, f9)),
     ]
-    for text in fixtures:
-        val = parse_skew(text, K3)
-        assert parse_skew(skew_to_text(val), K3) == val
+    for text, field in fixtures:
+        val = parse_skew(text, field)
+        assert parse_skew(skew_to_text(val), field) == val
+        assert parse_skew(repr(val), field) == val
 
 
 def test_parse_position_errors():
@@ -258,9 +262,10 @@ def test_cli_negative_bounds_are_parse_errors(tmp_path):
     out = run_cli(["find"], doc, tmp_path)
     assert out.returncode == 1 and out.stdout == ""
     assert "params.bound must be nonnegative" in out.stderr
+    # the option is gone: the usage error is a parse error too
     out = run_cli(["verify", "--certify-bound", "-1"], example_doc(), tmp_path)
-    assert out.returncode == 1
-    assert "--certify-bound must be nonnegative" in out.stderr
+    assert out.returncode == 1 and out.stdout == ""
+    assert "unrecognized arguments: --certify-bound -1" in out.stderr
 
 
 def test_cli_budget_exceeded_is_domain_error(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 """Base algebra: the tower F_p < F_q < A < Q, ideals, and Galois actions."""
+import ast
 import itertools
 import random
 import re
@@ -24,12 +25,12 @@ from dforge.fields import (
     ResidueField,
     _kron_conv,
     _trim,
+    is_irreducible,
     primitive_numerators,
 )
 from dforge.ideals import (
     IdealA,
     factor_ideal,
-    is_irreducible,
     monic_divisors,
     rational_roots,
 )
@@ -674,6 +675,24 @@ def test_packed_layout_stays_in_fields():
             if private.search(line):
                 hits.append(f"{path.name}:{no}: {line.strip()}")
     assert hits == []
+
+
+def test_relative_imports_are_used():
+    # every name a module imports from a sibling module is used in it;
+    # __init__.py imports to re-export and is exempt
+    unused = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 257, 65521])

@@ -43,7 +43,7 @@ from dforge.randgen import (
     rotation_pair,
     two_prime_point,
 )
-from dforge.skew import SkewPoly, conjugate
+from dforge.skew import SkewPoly, conjugate, right_divmod
 
 from helpers import get_fq, quadratic_field, rational_field
 
@@ -166,13 +166,13 @@ def test_dual_examples():
     phi = random_module(rng, Q3)
     a = F3.poly([2, 1])
     pa = verify_isogeny(phi, phi, phi_a(phi, a), CERTS(phi, 2))
-    d = dual(pa, target_certificate=CERTS(phi, 2))
+    d = dual(pa, CERTS)
     assert d.mu == phi_a(phi, a)
 
     fq, datum, sphi_phi = None, None, None
     fq, datum, phi, sphi, mu, eta = worked_example()
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
-    d = dual(iso, target_certificate=CERTS(phi, 1))
+    d = dual(iso, CERTS)
     assert d.mu * mu == phi_a(sphi, F3.poly_T())
     assert mu * d.mu == phi_a(phi, F3.poly_T())
     scalars = [K3.from_poly(F3.poly([c])) for c in range(1, 3)]
@@ -184,8 +184,8 @@ def test_dual_dual_is_scalar_multiple():
     for _ in range(10):
         phi, psi, fwd, back = safe_pair(rng, Q3)
         iso = verify_isogeny(phi, psi, fwd, CERTS(phi, 2))
-        d = dual(iso, target_certificate=CERTS(psi, 2))
-        dd = dual(d, target_certificate=CERTS(phi, 2))
+        d = dual(iso, CERTS)
+        dd = dual(d, CERTS)
         ratios = set()
         for a, b in zip(dd.mu.coeffs, iso.mu.coeffs):
             if b.is_zero():
@@ -210,8 +210,8 @@ def test_compose_identity_and_mismatch():
 def test_compose_dual_gives_phi_a():
     fq, datum, phi, sphi, mu, eta = worked_example()
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 2))
-    d = dual(iso, target_certificate=CERTS(phi, 1))
-    comp = compose(d, iso, certificate=CERTS(sphi, 2))
+    d = dual(iso, CERTS)
+    comp = compose(d, iso, CERTS)
     assert comp.mu == phi_a(sphi, F3.poly_T())
     deg, n1, n2 = degree(comp)
     assert deg == T_IDEAL * T_IDEAL
@@ -223,8 +223,8 @@ def test_degree_multiplicativity_on_chain_of_three():
     CERTS(phi, 3)
     f = verify_isogeny(phi, psi, fwd, CERTS(phi, 3))
     b = verify_isogeny(psi, phi, back, CERTS(psi, 2))
-    two = compose(b, f, certificate=CERTS(phi, 3))
-    three = compose(f, two, certificate=CERTS(phi, 3))
+    two = compose(b, f, CERTS)
+    three = compose(f, two, CERTS)
     d1 = degree(f)[0]
     d2 = degree(two)[0]
     d3 = degree(three)[0]
@@ -257,7 +257,7 @@ def test_delta_p_symmetry_and_conjugation_invariance():
     fq, datum, phi, sphi, mu, eta = worked_example()
     s = datum.generator_element("s")
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
-    d = dual(iso, target_certificate=CERTS(phi, 1))
+    d = dual(iso, CERTS)
     assert delta_p(iso, T_IDEAL) == delta_p(d, T_IDEAL)
     smu = conjugate(datum, s, mu)
     siso = verify_isogeny(phi, sphi, smu, CERTS(phi, 1))
@@ -269,7 +269,7 @@ def test_delta_p_symmetry_and_conjugation_invariance():
         p = IdealA(F3.poly([(-F3.elem_packed(shift)).val, 1]))
         phi2, psi2, fwd, back = safe_pair(rng, Q3, shift=shift)
         f = verify_isogeny(phi2, psi2, fwd, CERTS(phi2, 2))
-        fd = dual(f, target_certificate=CERTS(psi2, 2))
+        fd = dual(f, CERTS)
         assert delta_p(f, p) == delta_p(fd, p) == 1
 
 
@@ -300,7 +300,7 @@ def test_project_p_splits_two_prime_point():
         m1, part1, cop1 = project_p(iso, p1, certificate_factory=CERTS)
         assert degree(part1)[0] == p1
         assert degree(cop1)[0] == p2
-        recomb = compose(cop1, part1, certificate=CERTS(phi, 2))
+        recomb = compose(cop1, part1, CERTS)
         ratios = {(-1)}
         ratios = set()
         for a, b in zip(recomb.mu.coeffs, iso.mu.coeffs):
@@ -342,40 +342,78 @@ def test_factor_prime_power():
                             CERTS(phi, 1))
     assert factor_prime_power(scalar) == []
     # planted degree-p^2 composite: mu2 mu1 with matching prime
-    d = dual(iso, target_certificate=CERTS(phi, 1))
-    comp = compose(iso, d, certificate=CERTS(phi, 2))  # phi -> phi, deg (T)^2
+    d = dual(iso, CERTS)
+    comp = compose(iso, d, CERTS)  # phi -> phi, deg (T)^2
     with pytest.raises(NotPrimePower):
         factor_prime_power(comp)  # kernel is phi[T]: not cyclic
 
 
+def _cyclic_square(rng, field, c):
+    """(phi, target, chi): the two_prime_point construction with c1 = c2 = c.
+
+    phi_T = f1 h + c, mid_T = h f1 + c, and g1 = u + tau right-divides
+    mid_{T-c} = h f1, so chi = g1 h: phi -> target has degree (T - c)^2.
+    Its kernel is phi[T - c] only when chi is a multiple of f1 h, that is
+    when g1 is one of f1 (u b = a), which is rejected: chi is cyclic.
+    """
+    fq = field.fq
+    cK = field.from_poly(fq.poly([c]))
+    tmc = field.T() - cK
+    while True:
+        a = random_ext_elem(rng, field, 1, nonzero=True)
+        b = random_ext_elem(rng, field, 1, nonzero=True)
+        u = random_ext_elem(rng, field, 1, nonzero=True)
+        if u * b == a:
+            continue
+        u_h = tmc * a.inverse()
+        denom = b.frob() * (u ** (fq.q + 1)) - a.frob() * u
+        if denom.is_zero():
+            continue
+        v = (u_h * b * u - u_h * a) * denom.inverse()
+        if v.is_zero():
+            continue
+        f1 = SkewPoly(field, (a, b))
+        h = SkewPoly(field, (u_h, v))
+        g1 = SkewPoly(field, (u, field.one))
+        g2, rem = right_divmod(h * f1, g1)
+        phiT = f1 * h + SkewPoly.from_scalar(cK)
+        tgtT = g1 * g2 + SkewPoly.from_scalar(cK)
+        chi = g1 * h
+        if (rem.is_zero() and phiT.deg == tgtT.deg == 2
+                and not chi.constant().is_zero()):
+            return make_module(phiT), make_module(tgtT), chi
+
+
 def test_factor_prime_power_cyclic_square():
-    # build a cyclic (T-c)^2 isogeny by composing two rotation legs at the
-    # same shift; the kernel is cyclic because the legs do not cancel
+    # a planted cyclic (T-c)^2 isogeny splits into two (T-c) links that
+    # chain phi -> mid -> target and recompose to chi
     rng = random.Random(31)
     from dforge.errors import CMSuspected
 
     done = 0
     while done < 4:
-        phi, psi, fwd, back = safe_pair(rng, Q3, shift=1)
-        f = verify_isogeny(phi, psi, fwd, CERTS(phi, 2))
-        b = verify_isogeny(psi, phi, back, CERTS(psi, 2))
-        comp = compose(b, f, certificate=CERTS(phi, 2))
-        deg, n1, n2 = degree(comp)
-        if not n2.is_unit():
-            done += 1  # phi_{T-c}; skip, not cyclic
+        c = F3.elem_packed(rng.randrange(3))
+        p = IdealA(F3.poly([(-c).val, 1]))
+        phi, tgt, chi = _cyclic_square(rng, Q3, c)
+        try:
+            iso = verify_isogeny(phi, tgt, chi, CERTS(phi, 2))
+            deg, _, n2 = degree(iso)
+            fac = factor_prime_power(iso, certificate_factory=CERTS)
+        except CMSuspected:
             continue
-        fac = factor_prime_power(comp, certificate_factory=CERTS)
+        assert deg == p * p and n2.is_unit()
         assert len(fac) == 2
-        assert all(degree(x)[0].degree == 1 for x in fac)
-        recomp = fac[1].mu * fac[0].mu
-        assert recomp == comp.mu
+        assert [degree(x)[0] for x in fac] == [p, p]
+        assert fac[0].source == phi and fac[1].target == tgt
+        assert fac[0].target == fac[1].source
+        assert fac[1].mu * fac[0].mu == chi
         done += 1
 
 
 def test_find_isogenies_scalars_and_twist():
     rng = random.Random(37)
     phi = random_module(rng, Q3)
-    space = find_isogenies(phi, phi, 0, certificate=CERTS(phi, 0))
+    space = find_isogenies(phi, phi, 0, certificate_factory=CERTS)
     assert len(space) == F3.q - 1
     c = random_ext_elem(rng, Q3, 1, nonzero=True)
     psi = make_module(
@@ -390,7 +428,7 @@ def test_find_isogenies_worked_example_candidate_mode():
     fq, datum, phi, sphi, mu, eta = worked_example()
     cands = [K3.gen() + K3.one]
     found = find_isogenies(sphi, phi, 1, candidates=cands,
-                           certificate=CERTS(sphi, 1))
+                           certificate_factory=CERTS)
     assert len(found) == 1 and found[0].mu == mu
 
 
@@ -398,7 +436,7 @@ def test_lemma_2_9_scalar_ratio():
     # equal degree implies an F_q^x ratio among intertwiners
     rng = random.Random(41)
     phi, psi, fwd, back = safe_pair(rng, Q3)
-    space = find_isogenies(phi, psi, fwd.deg, certificate=CERTS(phi, 2))
+    space = find_isogenies(phi, psi, fwd.deg, certificate_factory=CERTS)
     assert fwd.monic() in [u.mu.monic() for u in space]
     base = space[0].mu
     for iso_u in space:

@@ -119,10 +119,10 @@ def test_al_identity_and_full_involution():
     x = _one_prime_point(rng)
     n = x.level
     ident = ALElement(unit_ideal(F3), n)
-    assert al_apply(ident, x) is x
+    assert al_apply(ident, x, CERTS) is x
     w_n = ALElement(n, n)
     y = al_apply(w_n, x, certificate_factory=CERTS)
-    d = dual(x.iso, target_certificate=CERTS(x.iso.target, x.iso.mu.deg))
+    d = dual(x.iso, CERTS)
     assert points_equal(y, ModuliPoint(d))
     yy = al_apply(w_n, y, certificate_factory=CERTS)
     assert yy.theta_pair() == x.theta_pair()
@@ -160,7 +160,7 @@ def test_star_orbit_rejects_even_q():
     phi = make_module(SkewPoly(Q4, (T, Q4.one, Q4.one)))
     iso = verify_isogeny(phi, phi, SkewPoly.from_scalar(Q4.one))
     with pytest.raises(EvenCharacteristicUnsupported):
-        star_orbit(ModuliPoint(iso))
+        star_orbit(ModuliPoint(iso), CERTS)
 
 
 def _worked_example_point():
@@ -307,7 +307,7 @@ def test_classification_to_orbit_end_to_end():
     galois, x = _worked_example_point()
     phi = x.iso.target
     sphi = x.iso.source
-    d = dual(x.iso, target_certificate=CERTS(phi, 1))
+    d = dual(x.iso, CERTS)
     datum = orbit_from_isogenies([phi, sphi], {(1, 0): x.iso, (0, 1): d},
                                  galois)
     result = classify(datum)
@@ -339,7 +339,7 @@ def test_theta_injectivity_on_isomorphic_transport():
         assert theta(y) == (
             j_invariant(phi).value, j_invariant(psi).value
         )
-        found = find_isogenies(phi2, psi2, mu2.deg, certificate=CERTS(phi2, 2))
+        found = find_isogenies(phi2, psi2, mu2.deg, certificate_factory=CERTS)
         monics = {u.mu.monic() for u in found}
         assert mu2.monic() in monics
         assert len(monics) * (F3.q - 1) == len(found)

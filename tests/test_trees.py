@@ -349,4 +349,4 @@ def test_materialize_center_without_modules():
     d = make_datum([[0, 1], [1, 0]], perms=[("s", 2, (1, 0))])
     res = classify(d)
     with pytest.raises(NotRealizable):
-        materialize_center(d, res)
+        materialize_center(d, res, CertificateCache())
