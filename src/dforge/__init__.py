@@ -11,7 +11,6 @@ from .extfield import ExtField, ExtFieldElem, GaloisDatum
 from .ideals import (
     IdealA,
     factor_ideal,
-    monic_divisors,
     rational_roots,
     unit_ideal,
 )

@@ -286,7 +286,6 @@ def cmd_example35(q):
     if p == 2:
         raise EvenCharacteristic("the example requires odd characteristic")
     fq = Fq(p, _find_modulus(p, d))
-    field0 = ExtField(fq)
     Tp1 = fq.rat(fq.poly([1, 1]))
     K = ExtField(fq, [-Tp1, fq.rat_zero, fq.rat_one])
     alpha = K.gen()

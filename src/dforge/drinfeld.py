@@ -330,10 +330,10 @@ class NonCMCertificate:
 
     `dimension` is the F_q-dimension of the bounded intertwiner space; the
     certificate asserts it equals the count of phi_a with deg_tau <= bound.
-    `method` says how the dimension was obtained ("degrees", "modular" or
-    "exact", see certify_non_cm) and `primes` lists the primes P tried, in
-    order, as (P, "lucky" | "unlucky" | "skipped"); neither takes part in
-    equality.
+    `method` says how the dimension was obtained ("j-invariant",
+    "degrees", "modular" or "exact", see certify_non_cm) and `primes` lists
+    the primes P tried, in order, as (P, "lucky" | "unlucky" | "skipped");
+    neither takes part in equality.
     """
 
     module: DrinfeldModule
@@ -354,7 +354,8 @@ _MAX_GOOD_PRIMES = 2
 
 
 def certify_non_cm(module, bound):
-    """Bounded non-CM certificate via the kernel dimension of the closure.
+    """Bounded non-CM certificate, from the j-invariant or from the kernel
+    dimension of the closure.
 
     The intertwiner space {u : u phi_T = phi_T u, deg_tau u <= bound} is
     parametrized by the common kernel, in an algebraic closure, of the tail
@@ -362,8 +363,10 @@ def certify_non_cm(module, bound):
     terms of the phi_a with 2 deg a <= bound, the F_q-span V of
     1, T, ..., T^m, m = bound // 2; the certificate holds exactly when the
     common kernel is V, of dimension m + 1.  The dimension is obtained in
-    one of three ways (`NonCMCertificate.method`):
+    one of four ways (`NonCMCertificate.method`):
 
+    - "j-invariant", when j is not integral over A: no closure is built,
+      and the certificate holds at every bound (lemma below);
     - "degrees", one tail t: after checking exactly that t vanishes on V,
       the dimension is deg t - val t;
     - "modular", two tails: the same check, then the right gcd of the
@@ -374,6 +377,13 @@ def certify_non_cm(module, bound):
       Euclid on the quotients.  Refusals always come from this path or
       from the degree count.
 
+    Lemma (the j-invariant).  If an endomorphism over K-bar lies outside
+    A, then End is an order in an imaginary quadratic extension of
+    F_q(T), and a rank-2 module with CM has potentially good reduction at
+    every finite place, so j is integral over A (Drinfeld 1974; Hayes,
+    Explicit class field theory in global function fields, 1979).  So
+    when j is not integral, End over K-bar is A, and the common kernel is
+    V at every bound.  g = 0 gives j = 0, which is integral.
     Lemma (the A-part check).  W = prod_{v in V} (X - v) is separable and
     its kernel is exactly V, so W right-divides t if and only if t vanishes
     on V, and by F_q-linearity if and only if t(T^k) = 0 for k <= m.
@@ -384,8 +394,10 @@ def certify_non_cm(module, bound):
     module._rank2()
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    _, _, tails = intertwiner_closure(module, module, bound)
     expected = bound // 2 + 1
+    if not j_invariant(module).value.is_integral():
+        return NonCMCertificate(module, bound, expected, "j-invariant", ())
+    _, _, tails = intertwiner_closure(module, module, bound)
     dimension, method, primes = _kernel_dimension(module.field, tails, bound)
     if dimension > expected:
         raise CMSuspected(

@@ -194,28 +194,35 @@ class ExtFieldElem:
         if fld.e == 1 or self.in_base():
             vec = [self.coords[0].inverse()] + [fld.fq.rat_zero] * (fld.e - 1)
             return ExtFieldElem(fld, tuple(vec))
-        # solve self * y = 1 by Gauss-Jordan over Q; column j holds the
-        # coordinates of self * x^j, and a missing pivot is a zero divisor
+        # solve self * y = 1: column j holds the coordinates of self * x^j,
+        # and a column without a pivot makes self a zero divisor
         e = fld.e
         cols, cur, x = [], self, fld.gen()
         for _ in range(e):
             cols.append(cur.coords)
             cur = cur * x
-        rows = [[col[i] for col in cols] + [fld.one.coords[i]]
-                for i in range(e)]
-        for j in range(e):
-            piv = next((i for i in range(j, e) if not rows[i][j].is_zero()),
-                       None)
-            if piv is None:
-                raise DivisionByZero("element is a zero divisor; f is reducible")
-            rows[j], rows[piv] = rows[piv], rows[j]
-            inv = rows[j][j].inverse()
-            rows[j] = [c * inv for c in rows[j]]
-            for i in range(e):
-                c = rows[i][j]
-                if i != j and not c.is_zero():
-                    rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
+        rank, rows = _first_dependence(cols + [fld.one.coords])
+        if rank < e:
+            raise DivisionByZero("element is a zero divisor; f is reducible")
         return ExtFieldElem(fld, tuple(row[e] for row in rows))
+
+    def minimal_polynomial(self):
+        """Coefficients over Q, low degree first, of the monic minimal
+        polynomial: the first linear dependence among 1, a, a^2, ..."""
+        powers = [self.field.one]
+        for _ in range(self.field.e):
+            powers.append(powers[-1] * self)
+        k, rows = _first_dependence([p.coords for p in powers])
+        return [-rows[j][k] for j in range(k)] + [self.field.fq.rat_one]
+
+    def is_integral(self):
+        """True when the element is integral over A = F_q[T].
+
+        A is integrally closed, so a is integral over A exactly when its
+        minimal polynomial over Q has coefficients in A."""
+        if self.in_base():
+            return self.coords[0].den.is_one()
+        return all(c.den.is_one() for c in self.minimal_polynomial())
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -248,6 +255,29 @@ class ExtFieldElem:
         if self.field.e == 1:
             return repr(self.coords[0])
         return "[" + ", ".join(repr(c) for c in self.coords) + "]"
+
+
+def _first_dependence(cols):
+    """Gauss-Jordan over Q on the matrix with the given columns, stopping at
+    the first column that lies in the span of the columns before it.
+
+    Returns (k, rows): columns 0 .. k-1 are independent and reduce to the
+    first k unit vectors, and, when k < len(cols), column k of the input is
+    sum_{j<k} rows[j][k] cols[j]."""
+    e = len(cols[0])
+    rows = [[col[i] for col in cols] for i in range(e)]
+    for j in range(len(cols)):
+        piv = next((i for i in range(j, e) if not rows[i][j].is_zero()), None)
+        if piv is None:
+            return j, rows
+        rows[j], rows[piv] = rows[piv], rows[j]
+        inv = rows[j][j].inverse()
+        rows[j] = [c * inv for c in rows[j]]
+        for i in range(e):
+            c = rows[i][j]
+            if i != j and not c.is_zero():
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
+    return len(cols), rows
 
 
 class GaloisDatum(CyclicProduct):

@@ -86,7 +86,7 @@ class Fq:
 
     def _digit_mul(self, a, b):
         # multiply two packed scalars by digit convolution + reduction
-        p, d = self.p, self.d
+        p = self.p
         da = (a // self._pp) % p
         db = (b // self._pp) % p
         conv = np.convolve(da, db) % p

@@ -225,11 +225,6 @@ def factor_ideal(n, rng=None):
     return out
 
 
-def monic_divisors(f, rng=None, cap=_DIVISOR_CAP):
-    """All monic divisors of a nonzero polynomial, in nondecreasing degree."""
-    return list(divisors_in_degree_order(f, rng, cap))
-
-
 def divisors_in_degree_order(f, rng=None, cap=None):
     """Yield the monic divisors of f in nondecreasing degree, lazily.
 

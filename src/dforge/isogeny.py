@@ -209,7 +209,7 @@ def _annihilator(iso):
         )
     gen = fq.poly([FqElem(fq, c) for c in combo] + [fq.one])
     # exactness check: phi_gen must be right-divisible by mu
-    quo, rem = right_divmod(phi_a(phi, gen), mu)
+    _, rem = right_divmod(phi_a(phi, gen), mu)
     if not rem.is_zero():
         raise InternalInconsistency("annihilator candidate fails divisibility")
     return IdealA(gen)
@@ -347,7 +347,7 @@ def factor_prime_power(iso, certificate_factory=None):
     The composite of the returned factors equals mu exactly; each step
     extracts the unique cyclic p-kernel as a right gcd with phi_{a_p}.
     """
-    deg, n1, n2 = iso.degree_parts()
+    deg, _, n2 = iso.degree_parts()
     if not n2.is_unit():
         raise NotPrimePower("isogeny is not cyclic")
     facs = deg.factors()

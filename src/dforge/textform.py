@@ -233,9 +233,6 @@ def ideal_to_text(n):
 
 
 def parse_ideal(text, fq):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
     from .ideals import IdealA
 
     return IdealA(parse_poly(text, fq))

@@ -610,14 +610,14 @@ def materialize_center(datum, result, certificate_factory):
         raise NotRealizable("center vertex lies outside concrete paths")
 
     support = datum.support
-    trees, centers = result.trees, result.centers
+    trees = result.trees
 
     def glue(descriptor):
         cur_iso = leg(0)  # scalar: base -> base
         for p in support:
             tree = trees[p]
             vertex = descriptor[p]
-            target_mod, to_vertex = vertex_module(p, tree, vertex)
+            _, to_vertex = vertex_module(p, tree, vertex)
             # transport to the current glued module
             omega = iso_compose(to_vertex, iso_dual(cur_iso, factory), factory)
             omega = _primitive_reduce(omega, factory)

@@ -14,12 +14,18 @@ from dforge.drinfeld import (
     certify_non_cm,
     conjugate_module,
     intertwiner_closure,
+    j_invariant,
     make_module,
 )
 from dforge.errors import CMSuspected, InternalInconsistency
-from dforge.extfield import GaloisDatum
-from dforge.fields import ResidueField
-from dforge.randgen import random_ext_elem, rotation_pair, two_prime_point
+from dforge.extfield import ExtField, GaloisDatum
+from dforge.fields import RatFunc, ResidueField
+from dforge.randgen import (
+    random_ext_elem,
+    random_fq_poly,
+    rotation_pair,
+    two_prime_point,
+)
 from dforge.skew import SkewPoly
 
 from helpers import quadratic_field, rational_field
@@ -51,15 +57,20 @@ def g_zero_module(rng, K):
     return make_module(SkewPoly(K, (K.T(), K.zero, delta)))
 
 
-def j_integral(module):
-    """j = g^(q+1) / Delta integral over A: in A for K = Q; for
-    K = Q(sqrt(D)), trace 2a and norm a^2 - D b^2 of j = a + b x in A."""
-    j = (module.g ** (module.field.fq.q + 1)) / module.delta
-    if module.field.e == 1:
-        return j.coords[0].den.is_one()
-    a, b = j.coords
-    D = -module.field.f[0]
+def integral_by_trace_and_norm(c):
+    """c integral over A: in A for K = Q; for K = Q(sqrt(D)), trace 2a
+    and norm a^2 - D b^2 of c = a + b x in A."""
+    if c.field.e == 1:
+        return c.coords[0].den.is_one()
+    a, b = c.coords
+    D = -c.field.f[0]
     return a.den.is_one() and (a * a - D * b * b).den.is_one()
+
+
+def j_integral(module):
+    """j = g^(q+1) / Delta integral over A, by trace and norm."""
+    return integral_by_trace_and_norm(
+        (module.g ** (module.field.fq.q + 1)) / module.delta)
 
 
 def non_integral_j_module(rng, K):
@@ -95,16 +106,18 @@ def test_example35_certificates_are_modular(q):
 
 
 def test_isogeny_sized_certificate_is_modular():
-    # short tails take the modular route as well; the exact path agrees
+    # short tails take the modular route as well; the exact path agrees.
+    # certify_non_cm itself needs no tails: j(phi) is not integral
     rng = random.Random(5)
     Q3 = rational_field(3)
     phi = rotation_pair(rng, Q3)[0]
     tails = tails_of(phi, 1)
     assert len(tails) == 2
-    cert = certify_non_cm(phi, 1)
-    assert (cert.method, cert.dimension) == ("modular", 1)
-    assert cert.primes[-1][1] == "lucky"
-    assert _exact_dimension(Q3, tails, 1) == cert.dimension
+    dimension, method, primes = _kernel_dimension(Q3, tails, 1)
+    assert (method, dimension) == ("modular", 1)
+    assert primes[-1][1] == "lucky"
+    assert _exact_dimension(Q3, tails, 1) == dimension
+    assert certify_non_cm(phi, 1).method == "j-invariant"
 
 
 def test_provenance_takes_no_part_in_equality():
@@ -113,6 +126,99 @@ def test_provenance_takes_no_part_in_equality():
     plain = drinfeld.NonCMCertificate(phi, 2, 2)
     assert plain.method == "exact" and plain.primes == ()
     assert cert == plain and hash(cert) == hash(plain)
+
+
+# -- the j-invariant route ---------------------------------------------------------
+
+def scalar_twist(phi):
+    """c phi_T c^-1 for c = T + 1: coefficients with denominators."""
+    K = phi.field
+    c = K.from_poly(K.fq.poly([1, 1]))
+    return make_module(SkewPoly.from_scalar(c) * phi.phiT
+                       * SkewPoly.from_scalar(c.inverse()))
+
+
+def j_route_families():
+    Q3 = rational_field(3)
+    rng = random.Random(31)
+    for i in range(3):
+        for module in rotation_pair(rng, Q3, shift=i)[:2]:
+            yield "rotation", module
+    for _ in range(2):
+        phi = two_prime_point(rng, Q3)[0]
+        yield "two-prime", phi
+        yield "twist", scalar_twist(phi)
+    for make_field, _ in WORKLOAD_FIELDS:
+        K = make_field()
+        yield "non-integral j", non_integral_j_module(
+            random.Random(K.fq.q * 10 + K.e), K)
+
+
+def test_j_route_agrees_with_the_closure():
+    # the route fires exactly when j is not integral, by the trace/norm
+    # oracle; the closure proves the same dimension at bounds 1-3
+    fired = {}
+    for family, module in j_route_families():
+        K = module.field
+        for bound in (1, 2, 3):
+            cert = certify_non_cm(module, bound)
+            assert (cert.method == "j-invariant") == (not j_integral(module))
+            assert cert.dimension == bound // 2 + 1 and cert.bound == bound
+            dimension, _, _ = _kernel_dimension(K, tails_of(module, bound), bound)
+            assert dimension == bound // 2 + 1
+        fired[family] = fired.get(family, 0) + (cert.method == "j-invariant")
+    assert fired == {"rotation": 2, "two-prime": 2, "twist": 2,
+                     "non-integral j": 4}
+
+
+def test_cm_modules_have_integral_j():
+    rng = random.Random(17)
+    for make_field, _ in WORKLOAD_FIELDS:
+        K = make_field()
+        assert j_invariant(g_zero_module(rng, K)).value.is_integral()
+    for K in (quadratic_field(5), quadratic_field(7)):
+        for _ in range(3):
+            cm = cm_module(K, random_ext_elem(rng, K, 1, nonzero=True))
+            assert j_invariant(cm).value.is_integral()
+
+
+def test_is_integral_against_trace_and_norm():
+    K5 = quadratic_field(5)
+    T, x = K5.T(), K5.gen()
+    # norm 2 + T lies in A, trace 2 / T does not
+    a = (K5.one + K5.from_poly(K5.fq.poly([1, 2])) * x) / T
+    assert not a.is_integral() and not integral_by_trace_and_norm(a)
+    seen = set()
+    for K in (rational_field(3), K5, quadratic_field(7)):
+        rng = random.Random(K.fq.q)
+        cases = [x / T, x * x / T] if K is K5 else []
+        for _ in range(40):
+            num = random_ext_elem(rng, K, 3, nonzero=True)
+            den = random_fq_poly(rng, K.fq, rng.randrange(3), nonzero=True)
+            cases.append(num.scale(RatFunc.from_poly(den).inverse()))
+        for c in cases:
+            assert c.is_integral() == integral_by_trace_and_norm(c), c
+            seen.add(c.is_integral())
+    assert seen == {True, False}
+
+
+def test_minimal_polynomial_of_a_cube_root():
+    # K = Q(x), x^3 = T: Eisenstein at T, so A[x] is the ring of integers
+    # and c is integral exactly when its coordinates lie in A
+    fq = rational_field(7).fq
+    K = ExtField(fq, [-fq.rat(fq.poly_T()), fq.rat_zero, fq.rat_zero,
+                      fq.rat_one])
+    rng = random.Random(3)
+    for _ in range(20):
+        den = random_fq_poly(rng, fq, rng.randrange(2), nonzero=True)
+        c = random_ext_elem(rng, K, 2).scale(RatFunc.from_poly(den).inverse())
+        coeffs = c.minimal_polynomial()
+        assert len(coeffs) == (2 if c.in_base() else 4)
+        value = K.zero
+        for r in reversed(coeffs):
+            value = value * c + K.from_rat(r)
+        assert value.is_zero()
+        assert c.is_integral() == all(r.den.is_one() for r in c.coords)
 
 
 # -- planted faults ---------------------------------------------------------------
@@ -246,10 +352,7 @@ def test_modular_agrees_on_acceptance_families():
     for _ in range(2):
         phi = two_prime_point(rng, Q3)[0]
         granted += agree_with_exact(phi, 2)
-        # a scalar twist: coefficients with denominators
-        c = Q3.from_poly(Q3.fq.poly([1, 1]))  # T + 1
-        twist = make_module(SkewPoly.from_scalar(c) * phi.phiT
-                            * SkewPoly.from_scalar(c.inverse()))
+        twist = scalar_twist(phi)
         assert any(not r.den.is_one() for coeff in twist.phiT.coeffs
                    for r in coeff.coords)
         granted += agree_with_exact(twist, 2)

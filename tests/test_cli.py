@@ -1,6 +1,7 @@
 """CLI front end: documents, outputs, exit codes, the worked example."""
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,8 +11,11 @@ from dforge import drinfeld
 from dforge.cli import cmd_example35, main
 from dforge.fields import Fq
 from dforge.extfield import ExtField
+from dforge.ideals import IdealA
+from dforge.randgen import random_fq_poly
 from dforge.skew import SkewPoly
 from dforge.textform import (
+    ideal_to_text,
     parse_ext,
     parse_ideal,
     parse_rat,
@@ -93,6 +97,20 @@ def test_parse_position_errors():
 def test_parse_ideal_text():
     n = parse_ideal("(T^2 + 2*T)", F3)
     assert repr(n) == "(2*T + T^2)"
+    # parentheses are grammar, not a wrapper: a product of ideals parses
+    Tp = IdealA(F3.poly([0, 1, 1]))
+    for text in ("(T)*(T+1)", "(T + 1)*(T)", "((T+1)*(T))"):
+        assert parse_ideal(text, F3) == Tp, text
+
+
+@pytest.mark.parametrize("fq", [F3, get_fq(3, (1, 0, 1)), get_fq(5)],
+                         ids=["q3", "q9", "q5"])
+def test_parse_ideal_reads_every_ideal_to_text(fq):
+    rng = random.Random(fq.q)
+    for degree in range(6):
+        for _ in range(6):
+            n = IdealA(random_fq_poly(rng, fq, degree, nonzero=True))
+            assert parse_ideal(ideal_to_text(n), fq) == n
 
 
 def test_cli_degree_and_dual(tmp_path):

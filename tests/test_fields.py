@@ -30,8 +30,8 @@ from dforge.fields import (
 )
 from dforge.ideals import (
     IdealA,
+    divisors_in_degree_order,
     factor_ideal,
-    monic_divisors,
     rational_roots,
 )
 from dforge.randgen import random_ext_elem, random_fq_poly, random_ratfunc
@@ -290,9 +290,9 @@ def test_zero_ideal_rejected():
 
 def test_monic_divisors_budget():
     f = F3.poly([0, 1]) * F3.poly([1, 1])  # two primes: four divisors
-    assert len(monic_divisors(f, cap=4)) == 4
+    assert len(list(divisors_in_degree_order(f, cap=4))) == 4
     with pytest.raises(BudgetExceeded) as err:
-        monic_divisors(f, cap=3)
+        list(divisors_in_degree_order(f, cap=3))
     assert err.value.budget == "monic divisors" and err.value.value == 3
 
 
@@ -693,6 +693,57 @@ def test_relative_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def _own_scope(func):
+    """The nodes of a function body, not descending into nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _assigned_names(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned_names(target.value)
+
+
+def test_assigned_locals_are_read():
+    # every name a function binds by assignment or tuple unpacking is read
+    # in it, nested functions included; for-loop targets and names that
+    # start with _ are exempt
+    dead = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(func)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for node in _own_scope(func):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            for node in _own_scope(func):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for name in _assigned_names(target):
+                        if not name.startswith("_") and name not in read:
+                            dead.append(f"{path.name}:{node.lineno}: "
+                                        f"{name} in {func.name}")
+    assert dead == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 257, 65521])
