@@ -225,6 +225,8 @@ class ExtFieldElem:
         return all(c.den.is_one() for c in self.minimal_polynomial())
 
     def __truediv__(self, other):
+        if self.is_zero() and not other.is_zero():
+            return self
         return self * other.inverse()
 
     def __pow__(self, e):

@@ -5,12 +5,16 @@ Elements of F_q are packed base-p integers; polynomials over F_q are
 little-endian numpy int64 arrays of packed values.  Only `Fq.arr_axpy` and
 the scalar ops (`sadd`, `smul`, ...) know that packing: addition of packed
 values is done there, as integers mod p when d = 1, through an addition
-table when q <= 256 and digit by digit above, and every other vector kernel
-(addition, subtraction, negation, reduction) is a call to `arr_axpy`.
+table when q <= 256 and digit by digit above.  Addition, subtraction and
+negation are calls to `arr_axpy`, and so is each step of a division when
+d > 1; for d = 1, where packed values are integers mod p, a division
+reduces lazily, with one `% p` at the end (`Fq.arr_mod_inplace`).
 Multiplication in F_q goes through discrete log/exp tables for every q.
 Products in F_q[T] are exact integer convolutions of F_p digits: short ones
 with all coefficients in F_p use np.convolve, all others go through
 Kronecker substitution into one Python integer product (`_kron_conv`).
+A product by a constant skips these kernels: it is a scalar multiply, and
+the constant 1 returns the other operand (`PolyA.__mul__`).
 Matrices over F_q multiply the same way, by integer products of F_p digits
 (`Fq.arr_matmul`); `ResidueField` does all its arithmetic with them.
 """
@@ -266,10 +270,29 @@ class Fq:
 
         Each step cancels r's top coefficient against b below it and leaves
         that coefficient in place, so r[len(b) - 1:] / lc(b) is the quotient.
+
+        For d = 1 the reduction is lazy: each step reduces only the top
+        coefficient it cancels, adds (c * -1/lc(b) mod p) * b[:-1] to the
+        window without reducing it, and one `% p` over r ends the division.
+        Lemma: with nb = len(b) and r reduced on entry, each entry of r
+        receives at most nb - 1 updates, one from each step whose window
+        covers it, and each is at most (p - 1)^2.  So every entry stays below p + (nb - 1)(p - 1)^2,
+        which is below 2^63 for p < 2^16 (`Fq` allows no larger q) and
+        nb < 2^31: no int64 overflows, and the final `% p` gives the exact
+        remainder and the reduced quotient slots.
         """
         nb = len(b)
-        minus_inv_lead = self.sneg(self.sinv(int(b[-1])))
         low = b[:-1]
+        if self.d == 1:
+            p = self.p
+            minus_inv_lead = p - self.sinv(int(b[-1]))
+            for k in range(len(r) - nb, -1, -1):
+                c = int(r[k + nb - 1]) % p
+                if c:
+                    r[k: k + nb - 1] += (c * minus_inv_lead % p) * low
+            r %= p
+            return _trim(r[: nb - 1])
+        minus_inv_lead = self.sneg(self.sinv(int(b[-1])))
         axpy, smul = self.arr_axpy, self.smul
         for k in range(len(r) - nb, -1, -1):
             c = int(r[k + nb - 1])
@@ -451,12 +474,14 @@ def _kron_conv(da, db, p):
     h * min(na, nb) terms, h = min(ha, hb) <= d, each at most (p - 1)^2, so
     a slot of w bytes with 2^(8w) > h * min(na, nb) * (p - 1)^2 holds it
     and no carry reaches the next slot.  The unpacked slots are therefore
-    the exact sums.
+    the exact sums.  A slot wider than 7 bytes would not fit the int64
+    result and raises RuntimeError.
     """
     (na, ha), (nb, hb) = da.shape, db.shape
     s = ha + hb - 1
     w = ((min(ha, hb) * min(na, nb) * (p - 1) ** 2).bit_length() + 7) // 8
-    assert w <= 7, "slot too wide for an int64 result"
+    if w > 7:
+        raise RuntimeError("slot too wide for an int64 result")
 
     def pack(x):
         slots = np.zeros((len(x), s), dtype="<u8")
@@ -596,6 +621,12 @@ class PolyA:
     def __mul__(self, other):
         if isinstance(other, FqElem):
             return self.scale(other)
+        # a constant operand is a scalar multiply, and the constant 1
+        # shares the other operand (arrays are read-only)
+        x, const = (other, self) if len(self._c) == 1 else (self, other)
+        if len(const._c) == 1:
+            c = int(const._c[0])
+            return x if c == 1 else PolyA(self.field, self.field.arr_scalar_mul(x._c, c))
         return PolyA(self.field, self.field.arr_mul(self._c, other._c))
 
     def scale(self, c):
@@ -804,6 +835,10 @@ class RatFunc:
         # Knuth/cpython-fractions scheme: keeps gcd operands small and the
         # result canonical without a full re-normalization.
         field = self.field
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other if sign > 0 else -other
         na, da = self.num, self.den
         nb, db = other.num, other.den
         if da.is_one() and db.is_one():
@@ -841,17 +876,19 @@ class RatFunc:
             return self.field.rat_zero
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.field, self.num * other.num, self.den)
-        # reduce crosswise first to keep gcd operands small
+        # reduce crosswise first to keep gcd operands small; a denominator
+        # of 1 has nothing to cancel
         a, b = self.num, self.den
         c, d = other.num, other.den
-        g1 = a.gcd(d)
-        if not g1.is_one():
-            a, d = a // g1, d // g1
-        g2 = c.gcd(b)
-        if not g2.is_one():
-            c, b = c // g2, b // g2
-        num = a * c
-        return RatFunc(self.field, num, b * d)
+        if not d.is_one():
+            g1 = a.gcd(d)
+            if not g1.is_one():
+                a, d = a // g1, d // g1
+        if not b.is_one():
+            g2 = c.gcd(b)
+            if not g2.is_one():
+                c, b = c // g2, b // g2
+        return RatFunc(self.field, a * c, b * d)
 
     def inverse(self):
         if self.is_zero():

@@ -221,7 +221,8 @@ def factor_ideal(n, rng=None):
     for prime, mult in out:
         for _ in range(mult):
             check = check * prime.gen
-    assert check == gen, "factorization does not re-multiply"
+    if check != gen:
+        raise RuntimeError("factorization does not re-multiply")
     return out
 
 

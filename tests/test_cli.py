@@ -299,6 +299,10 @@ def _planted_value_error(module, bound):
     raise ValueError("planted")
 
 
+def _planted_runtime_error(module, bound):
+    raise RuntimeError("planted")
+
+
 @pytest.mark.parametrize("case,code,message", [
     ("ok", 0, ""),
     ("isogeny without mu", 1, "parse error: malformed document ('mu')"),
@@ -306,6 +310,7 @@ def _planted_value_error(module, bound):
     ("params not an object", 1, "parse error: params must be a JSON object"),
     ("not an isogeny", 2, "domain error: NotIntertwining"),
     ("computation raises ValueError", 3, "internal error: ValueError: planted"),
+    ("invariant check fails", 3, "internal error: RuntimeError: planted"),
 ])
 def test_cli_exit_paths(tmp_path, monkeypatch, capsys, case, code, message):
     doc = example_doc()
@@ -319,6 +324,8 @@ def test_cli_exit_paths(tmp_path, monkeypatch, capsys, case, code, message):
         doc["isogenies"]["mu"]["mu"] = "1"
     elif case == "computation raises ValueError":
         monkeypatch.setattr(drinfeld, "certify_non_cm", _planted_value_error)
+    elif case == "invariant check fails":
+        monkeypatch.setattr(drinfeld, "certify_non_cm", _planted_runtime_error)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == code

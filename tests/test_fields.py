@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dforge
+from dforge import ideals
 from dforge.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -281,6 +282,62 @@ def test_ratfunc_canonical_form():
                 assert v.num.gcd(v.den).is_one()
 
 
+@pytest.mark.parametrize("fq", [F3, F9, F512], ids=lambda f: f"q{f.q}")
+def test_products_by_a_constant_match_the_kernel(fq):
+    # F_512 has no add or mul tables: its scalar multiply is the digit path
+    rng = random.Random(fq.q)
+    unit = fq.poly([fq.elem_packed(rng.randrange(2, fq.q))])
+    constants = [fq.poly_one, -fq.poly_one, unit]
+    for _ in range(20):
+        a = random_fq_poly(rng, fq, 8)
+        for c in constants:
+            want = PolyA(fq, fq.arr_mul(a.array, c.array))
+            assert a * c == want and c * a == want, (a, c)
+            assert (a * c).array.flags.writeable is False
+        if a.degree >= 1:
+            assert a * fq.poly_one is a and fq.poly_one * a is a
+    for c in constants:
+        assert c * c == PolyA(fq, fq.arr_mul(c.array, c.array))
+        assert (c * fq.poly_zero).is_zero() and (fq.poly_zero * c).is_zero()
+
+
+def _is_canonical(r):
+    if r.is_zero():
+        return r.den.is_one()
+    return r.den.is_monic() and r.num.gcd(r.den).is_one()
+
+
+@pytest.mark.parametrize("fq", [F3, F9], ids=lambda f: f"q{f.q}")
+def test_ratfunc_short_cuts_match_cross_multiplication(fq):
+    # zero operands, denominators of 1 and the general path all agree with
+    # canonicalising the cross-multiplied fraction
+    rng = random.Random(fq.q + 2)
+    for _ in range(15):
+        operands = [fq.rat_zero, fq.rat_one, -fq.rat_one,
+                    random_ratfunc(rng, fq, 4, poly_only=True),
+                    random_ratfunc(rng, fq, 3), random_ratfunc(rng, fq, 3)]
+        for x, y in itertools.product(operands, repeat=2):
+            den = x.den * y.den
+            cases = [(x + y, RatFunc.make(x.num * y.den + y.num * x.den, den)),
+                     (x - y, RatFunc.make(x.num * y.den - y.num * x.den, den)),
+                     (x * y, RatFunc.make(x.num * y.num, den))]
+            for got, want in cases:
+                assert got == want, (x, y)
+                assert _is_canonical(got), (x, y)
+
+
+def test_ext_zero_divided_by_nonzero_is_zero():
+    K5 = quadratic_field(5)
+    rng = random.Random(55)
+    for _ in range(10):
+        x = random_ext_elem(rng, K5, 3, poly_only=False, nonzero=True)
+        assert (K5.zero / x).is_zero()
+        with pytest.raises(DivisionByZero):
+            x / K5.zero
+    with pytest.raises(DivisionByZero):
+        K5.zero / K5.zero
+
+
 def test_zero_ideal_rejected():
     from dforge.errors import ZeroIdeal
 
@@ -523,9 +580,10 @@ def test_divmod_hypothesis(acoeffs, bcoeffs):
 
 
 # One field per branch of the vector kernels: integers mod p (F_3, F_5, and
-# F_257, a prime field with no tables), the add/mul tables (F_4, F_9, F_27),
-# and the digit loop (F_512).
-KERNEL_FIELDS = [get_fq(3), get_fq(5), get_fq(257), F4, F9,
+# F_257 and F_65521, prime fields with no tables; F_65521 is the largest
+# prime `Fq` accepts, where lazy division comes closest to its int64
+# bound), the add/mul tables (F_4, F_9, F_27), and the digit loop (F_512).
+KERNEL_FIELDS = [get_fq(3), get_fq(5), get_fq(257), get_fq(65521), F4, F9,
                  get_fq(3, (1, 2, 0, 1)), F512]
 KERNEL_LENGTHS = [1, 5, 40, 400]
 
@@ -606,7 +664,7 @@ def test_divmod_against_digit_reference(fq):
     ref = _ReferenceVectors(fq)
     rng = np.random.default_rng(fq.q + 1)
     for n in KERNEL_LENGTHS:
-        for m in (1, 5, 40):
+        for m in (1, 5, 40, 400):
             a, b = _random_vector(rng, fq, n), _random_vector(rng, fq, m)
             quo, rem = divmod(PolyA(fq, a), PolyA(fq, b))
             assert (quo.array.tolist(), rem.array.tolist()) == ref.divmod(a, b), (n, m)
@@ -619,6 +677,18 @@ def test_divmod_against_digit_reference(fq):
                 multiple[i: i + m] = ref.axpy(multiple[i: i + m], int(c), b)
             quo, rem = divmod(PolyA(fq, np.array(multiple)), PolyA(fq, b))
             assert quo.array.tolist() == cofactor.tolist() and rem.is_zero(), (n, m)
+
+
+@pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_gcd_of_multiples(fq):
+    # gcd(a c, b c) = monic(c) gcd(a, b): the Euclid runs on arr_mod_inplace
+    rng = np.random.default_rng(fq.q + 2)
+    for na, nb, nc in [(1, 1, 1), (2, 6, 3), (12, 5, 4), (40, 40, 20),
+                       (90, 31, 60)]:
+        a, b, c = (PolyA(fq, _random_vector(rng, fq, n)) for n in (na, nb, nc))
+        g = a.gcd(b)
+        assert g.is_monic() and (a % g).is_zero() and (b % g).is_zero()
+        assert (a * c).gcd(b * c) == c.monic() * g, (na, nb, nc)
 
 
 @pytest.mark.parametrize("fq", [F4, F9, get_fq(257), F512], ids=lambda f: f"q{f.q}")
@@ -693,6 +763,35 @@ def test_relative_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so an invariant check in the
+    # program raises an exception instead
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
+def test_factor_ideal_checks_the_product(monkeypatch):
+    # a wrong factor from the equal-degree split is caught by re-multiplying
+    gen = F3.poly([1, 0, 1])  # T^2 + 1, irreducible over F_3
+    assert factor_ideal(IdealA(gen)) == [(IdealA(gen), 1)]
+    monkeypatch.setattr(ideals, "_equal_degree",
+                        lambda f, d, rng: [f + F3.poly_T()])
+    with pytest.raises(RuntimeError, match="does not re-multiply"):
+        factor_ideal(IdealA(gen))
+
+
+def test_kron_conv_rejects_slots_wider_than_int64():
+    # (p - 1)^2 >= 2^56 needs 8-byte slots, which no int64 result holds
+    p = 2 ** 31 - 1
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(RuntimeError, match="slot too wide"):
+        _kron_conv(one, one, p)
 
 
 def _own_scope(func):
