@@ -49,6 +49,7 @@ from .isogeny import (
     is_cyclic,
     is_primitive,
     normalize_isogeny,
+    primitive_part,
     project_p,
     verify_isogeny,
 )

@@ -26,12 +26,13 @@ from .isogeny import (
     verify_isogeny,
 )
 from .moduli import ModuliPoint, star_orbit
-from .skew import SkewPoly
+from .skew import SkewPoly, scalar_ratio
 from .textform import (
     ext_to_text,
     ideal_to_text,
     parse_ext,
     parse_ideal,
+    parse_rat,
     parse_skew,
     skew_to_text,
 )
@@ -72,6 +73,7 @@ class JobContext:
         if not isinstance(fspec, dict) or "p" not in fspec:
             raise ParseError("field specification with p is required")
         self.params = _section(doc, "params")
+        self.objects = {"module": {}, "isogeny": {}, "orbit": {}}
         with _reading():
             self.fq = Fq(int(fspec["p"]), fspec.get("fq_modulus"))
             minpoly = fspec.get("ext_minpoly")
@@ -85,25 +87,21 @@ class JobContext:
                 image = self._ext(g["image"])
                 gens.append((g["name"], int(g["order"]), image))
             self.galois = GaloisDatum(self.field, gens)
-            self.modules = {}
             for name, text in _section(doc, "modules").items():
-                self.modules[name] = make_module(parse_skew(text, self.field))
+                self.objects["module"][name] = make_module(
+                    parse_skew(text, self.field))
         self.certs = CertificateCache()
-        self.isogenies = {}
         for name, spec in _section(doc, "isogenies").items():
             with _reading():
-                src = self._module(spec["source"])
-                tgt = self._module(spec["target"])
+                src = self.named("module", spec["source"])
+                tgt = self.named("module", spec["target"])
                 mu = parse_skew(spec["mu"], self.field)
             cert = self.certs(src, max(mu.deg, 0))
-            self.isogenies[name] = verify_isogeny(src, tgt, mu, cert)
-        self.orbits = {}
+            self.objects["isogeny"][name] = verify_isogeny(src, tgt, mu, cert)
         for name, spec in _section(doc, "orbits").items():
-            self.orbits[name] = self._orbit(spec)
+            self.objects["orbit"][name] = self._orbit(spec)
 
     def _rat(self, text):
-        from .textform import parse_rat
-
         return parse_rat(text, self.fq)
 
     def _ext(self, spec):
@@ -111,20 +109,22 @@ class JobContext:
             return self.field.elem([self._rat(c) for c in spec])
         return parse_ext(spec, self.field)
 
-    def _module(self, name):
-        if not isinstance(name, str) or name not in self.modules:
-            raise ParseError(f"unknown module {name!r}")
-        return self.modules[name]
+    def named(self, kind, name):
+        """The declared object of a kind ("module", "isogeny" or "orbit")."""
+        table = self.objects[kind]
+        if not isinstance(name, str) or name not in table:
+            raise ParseError(f"unknown {kind} {name!r}")
+        return table[name]
 
-    def _isogeny(self, name):
-        if not isinstance(name, str) or name not in self.isogenies:
-            raise ParseError(f"unknown isogeny {name!r}")
-        return self.isogenies[name]
-
-    def _orbit_obj(self, name):
-        if not isinstance(name, str) or name not in self.orbits:
-            raise ParseError(f"unknown orbit {name!r}")
-        return self.orbits[name]
+    def param(self, kind):
+        """The object that params.<kind> names, or the only one declared."""
+        name = self.params.get(kind)
+        if name is None:
+            table = self.objects[kind]
+            if len(table) == 1:
+                return next(iter(table.values()))
+            raise ParseError(f"params.{kind} is required")
+        return self.named(kind, name)
 
     def _orbit(self, spec):
         with _reading():
@@ -140,8 +140,9 @@ class JobContext:
             isogenies = {}
             for key, iso_name in (spec.get("isogenies") or {}).items():
                 i, j = (int(x) for x in key.split(","))
-                isogenies[(i, j)] = self._isogeny(iso_name)
-            modules = tuple(self._module(m) for m in spec.get("modules", []))
+                isogenies[(i, j)] = self.named("isogeny", iso_name)
+            modules = tuple(self.named("module", m)
+                            for m in spec.get("modules", []))
             datum = OrbitDatum(
                 labels=labels,
                 group=OrbitGroup(gens),
@@ -150,30 +151,6 @@ class JobContext:
                 modules=modules,
             )
         return validate_orbit(datum)
-
-    def param_isogeny(self):
-        name = self.params.get("isogeny")
-        if name is None:
-            if len(self.isogenies) == 1:
-                return next(iter(self.isogenies.values()))
-            raise ParseError("params.isogeny is required")
-        return self._isogeny(name)
-
-    def param_module(self):
-        name = self.params.get("module")
-        if name is None:
-            if len(self.modules) == 1:
-                return next(iter(self.modules.values()))
-            raise ParseError("params.module is required")
-        return self._module(name)
-
-    def param_orbit(self):
-        name = self.params.get("orbit")
-        if name is None:
-            if len(self.orbits) == 1:
-                return next(iter(self.orbits.values()))
-            raise ParseError("params.orbit is required")
-        return self._orbit_obj(name)
 
 
 def _iso_json(iso):
@@ -190,12 +167,12 @@ def _iso_json(iso):
 
 
 def cmd_verify(ctx):
-    iso = ctx.param_isogeny()
+    iso = ctx.param("isogeny")
     return _iso_json(iso)
 
 
 def cmd_degree(ctx):
-    iso = ctx.param_isogeny()
+    iso = ctx.param("isogeny")
     deg, n1, n2 = degree(iso)
     return {
         "degree": ideal_to_text(deg),
@@ -206,17 +183,18 @@ def cmd_degree(ctx):
 
 
 def cmd_dual(ctx):
-    return _iso_json(dual(ctx.param_isogeny(), ctx.certs))
+    return _iso_json(dual(ctx.param("isogeny"), ctx.certs))
 
 
 def cmd_j(ctx):
-    mod = ctx.param_module()
+    mod = ctx.param("module")
     return {"j": ext_to_text(j_invariant(mod).value)}
 
 
 def cmd_find(ctx):
-    src = ctx._module(ctx.params.get("source") or ctx.params.get("module"))
-    tgt = ctx._module(ctx.params.get("target"))
+    src = ctx.named("module",
+                    ctx.params.get("source") or ctx.params.get("module"))
+    tgt = ctx.named("module", ctx.params.get("target"))
     with _reading():
         bound = int(ctx.params.get("bound", 1))
         cands = ctx.params.get("candidates")
@@ -235,7 +213,7 @@ def cmd_find(ctx):
 
 
 def cmd_project(ctx):
-    iso = ctx.param_isogeny()
+    iso = ctx.param("isogeny")
     with _reading():
         p = parse_ideal(ctx.params["prime"], ctx.fq)
     mid, p_part, coprime = project_p(iso, p, certificate_factory=ctx.certs)
@@ -247,7 +225,7 @@ def cmd_project(ctx):
 
 
 def cmd_classify(ctx):
-    datum = ctx.param_orbit()
+    datum = ctx.param("orbit")
     result = classify(datum, fq=ctx.fq)
     report = minimality_check(datum, result)
     return {
@@ -263,7 +241,7 @@ def cmd_classify(ctx):
 
 
 def cmd_star_orbit(ctx):
-    iso = ctx.param_isogeny()
+    iso = ctx.param("isogeny")
     point = ModuliPoint(iso).validate()
     galois = ctx.galois if ctx.galois.generators else None
     orbit = star_orbit(point, ctx.certs, galois=galois)
@@ -327,12 +305,8 @@ def cmd_example35(q):
     check("deg mu = deg eta = (T)", degree_check)
 
     def dual_check():
-        d = dual(iso_mu, certs)
-        for c in range(1, fq.q):
-            scalar = K.from_poly(fq.poly([fq.elem_packed(c)]))
-            if d.mu.scale_left(scalar) == eta:
-                return True
-        return False
+        c = scalar_ratio(eta, dual(iso_mu, certs).mu)
+        return c is not None and c.is_fq_constant()
 
     check("dual(mu) = eta up to F_q^x", dual_check)
 

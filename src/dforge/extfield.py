@@ -12,6 +12,7 @@ from functools import partial
 from .errors import DivisionByZero, FieldMismatch, InvalidAutomorphism
 from .fields import RatFunc, power
 from .groups import CyclicProduct
+from .ideals import rational_roots
 
 __all__ = ["ExtField", "ExtFieldElem", "GaloisDatum"]
 
@@ -57,8 +58,6 @@ class ExtField:
         return rows
 
     def _check_no_rational_root(self):
-        from .ideals import rational_roots
-
         if rational_roots(list(self.f)):
             raise ValueError("minimal polynomial has a root in Q; not irreducible")
 

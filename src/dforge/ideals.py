@@ -261,17 +261,6 @@ def divisors_in_degree_order(f, rng=None, cap=None):
                     )
 
 
-def divisors_of_degree(ideal, k, rng=None):
-    """Monic divisor ideals of the given degree."""
-    out = []
-    for d in divisors_in_degree_order(ideal.gen, rng):
-        if d.degree > k:
-            break
-        if d.degree == k:
-            out.append(IdealA(d))
-    return out
-
-
 def coprime_fractions(trailing, leading, budget=None, cap=None, rng=None):
     """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
 

@@ -4,7 +4,10 @@ and normalization over K(lambda^(1/n)).
 
 Kernels are never materialized; every kernel statement is a right
 divisibility or right gcd in K{tau}.  The kernel of mu is A/n1 + A/n2 with
-n2 | n1, n1 the annihilator ideal, and deg(n1 n2) = deg_tau mu.
+n2 | n1, n1 the annihilator ideal, and deg(n1 n2) = deg_tau mu.  Kernel
+structure goes through two helpers: `split_at` cuts Ker mu at phi[a] (a
+right gcd and the module it lands on), and `primitive_part` divides mu by
+phi_{n2}; every cofactor is an `exact_quotient`.
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ from .errors import (
     StructureError,
 )
 from .fields import FqElem, cleared_numerators
-from .ideals import IdealA, divisors_of_degree, unit_ideal
+from .ideals import IdealA, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
-from .skew import SkewPoly, conjugate, right_divmod, right_gcd
+from .skew import SkewPoly, conjugate, right_divmod, right_gcd, scalar_ratio
 
 __all__ = [
     "Isogeny",
@@ -38,6 +41,7 @@ __all__ = [
     "degree",
     "is_cyclic",
     "is_primitive",
+    "primitive_part",
     "dual",
     "compose",
     "delta_p",
@@ -46,6 +50,8 @@ __all__ = [
     "find_isogenies",
     "normalize_isogeny",
     "target_of",
+    "split_at",
+    "exact_quotient",
 ]
 
 
@@ -130,16 +136,31 @@ def verify_isogeny(phi, psi, mu, certificate=None):
     return Isogeny(phi, psi, mu, certificate)
 
 
+def exact_quotient(a, b, message, error=DivisionInexact):
+    """The q with a = q b in K{tau}; a nonzero remainder raises error."""
+    quo, rem = right_divmod(a, b)
+    if not rem.is_zero():
+        raise error(message)
+    return quo
+
+
 def target_of(phi, mu):
     """The module psi with mu: phi -> psi, i.e. psi_T = mu phi_T mu^(-1).
 
     Exists exactly when Ker mu is an A-submodule; otherwise the right
     division is inexact.
     """
-    quo, rem = right_divmod(mu * phi.phiT, mu)
-    if not rem.is_zero():
-        raise DivisionInexact("kernel of mu is not T-stable")
-    return make_module(quo)
+    return make_module(exact_quotient(mu * phi.phiT, mu,
+                                      "kernel of mu is not T-stable"))
+
+
+def split_at(phi, mu, a):
+    """(part, mid): part = rgcd(mu, phi_a), whose kernel is Ker mu cap
+    phi[a], and mid = target_of(phi, part), so mu = cofactor * part with
+    the cofactor mid -> target.  A trivial part (the monic gcd 1) leaves
+    mid = phi."""
+    part = right_gcd(mu, phi_a(phi, a))
+    return part, phi if part.deg == 0 else target_of(phi, part)
 
 
 # -- annihilator linear algebra ------------------------------------------------
@@ -220,29 +241,35 @@ def annihilator(iso):
 
 
 def _degree_parts(iso):
-    """(deg, n1, n2): n1 the annihilator, n2 | n1 with the complementary
-    degree and phi_{gen n2} right-dividing mu."""
+    """(deg, n1, n2): n1 the annihilator, n2 | n1 of the complementary
+    degree, read off split degrees.
+
+    Lemma: for p^e exactly dividing n1, Ker mu cap phi[p^e] is the
+    p-primary part of Ker mu = A/n1 + A/n2 (n2 | n1, so p^e kills it), of
+    order q^((e + v_p(n2)) deg p); that is the tau-degree of
+    rgcd(mu, phi_{p^e}).  A degree of any other form, an n2 whose degree
+    does not complete n1 to deg_tau mu, or a phi_{n2} that does not
+    right-divide mu raises StructureError (CM input or rank != 2).
+    """
     n1 = iso.annihilator_ideal
-    m = iso.mu.deg
-    k = m - n1.degree
+    k = iso.mu.deg - n1.degree
     if k < 0:
         raise InternalInconsistency("annihilator degree exceeds deg_tau mu")
-    fq = iso.field.fq
+    n2 = unit_ideal(iso.field.fq)
     if k == 0:
-        n2 = unit_ideal(fq)
         return n1 * n2, n1, n2
-    matches = []
-    for cand in divisors_of_degree(n1, k):
-        _, rem = right_divmod(iso.mu, phi_a(iso.source, cand.gen))
-        if rem.is_zero():
-            matches.append(cand)
-    if not matches:
-        raise StructureError(
-            "no complementary kernel ideal; CM input or rank != 2"
-        )
-    if len(matches) > 1:
-        raise InternalInconsistency("complementary kernel ideal is not unique")
-    n2 = matches[0]
+    for p, e in n1.factors():
+        d = right_gcd(iso.mu, phi_a(iso.source, p.gen ** e)).deg
+        v = d // p.degree - e
+        if d % p.degree or not 0 <= v <= e:
+            raise StructureError(f"kernel of mu at {p} has tau-degree {d}; "
+                                 "CM input or rank != 2")
+        n2 = n2 * IdealA(p.gen ** v)
+    if n2.degree != k:
+        raise StructureError("no complementary kernel ideal; CM input or "
+                             "rank != 2")
+    exact_quotient(iso.mu, phi_a(iso.source, n2.gen),
+                   "phi_{n2} does not right-divide mu", StructureError)
     return n1 * n2, n1, n2
 
 
@@ -259,6 +286,23 @@ def is_primitive(iso):
     return iso.is_primitive()
 
 
+def primitive_part(iso, certificate_factory):
+    """The primitive isogeny mu / phi_{n2}, or iso itself when n2 = (1).
+
+    phi_b right-divides mu exactly when phi[b] lies in Ker mu, that is
+    when b | n2, so stripping primes of n2 one at a time ends at this same
+    quotient, whose kernel A/(n1/n2) is cyclic.  The quotient keeps source
+    and target and is certified by the factory at its tau-degree.
+    """
+    n2 = iso.degree_parts()[2]
+    if n2.is_unit():
+        return iso
+    quo = exact_quotient(iso.mu, phi_a(iso.source, n2.gen),
+                         "phi_{n2} does not right-divide mu")
+    return verify_isogeny(iso.source, iso.target, quo,
+                          certificate_factory(iso.source, quo.deg))
+
+
 def dual(iso, certificate_factory=None):
     """The unique eta with eta mu = phi_{a_n} and mu eta = psi_{a_n}.
 
@@ -269,10 +313,8 @@ def dual(iso, certificate_factory=None):
             if certificate_factory else None)
     deg, _, _ = iso.degree_parts()
     a_n = deg.gen
-    quo, rem = right_divmod(phi_a(iso.source, a_n), iso.mu)
-    if not rem.is_zero():
-        raise DivisionInexact("phi_{a_n} is not right-divisible by mu")
-    eta = quo
+    eta = exact_quotient(phi_a(iso.source, a_n), iso.mu,
+                         "phi_{a_n} is not right-divisible by mu")
     if eta * iso.mu != phi_a(iso.source, a_n):
         raise InternalInconsistency("dual does not reproduce phi_{a_n}")
     if iso.mu * eta != phi_a(iso.target, a_n):
@@ -316,21 +358,15 @@ def project_p(iso, p, certificate_factory=None):
     if not iso.is_cyclic():
         raise NotCyclic("project_p needs a primitive cyclic isogeny")
     phi = iso.source
-    k = max(iso.mu.deg, 1)
-    apk = p.gen
-    for _ in range(k - 1):
-        apk = apk * p.gen
-    mu_p = right_gcd(iso.mu, phi_a(phi, apk))
+    mu_p, mid = split_at(phi, iso.mu, p.gen ** max(iso.mu.deg, 1))
     if mu_p.deg == 0:
         # p does not divide the degree
         one_iso = verify_isogeny(phi, phi, SkewPoly.from_scalar(phi.field.one),
                                  iso.certificate)
         return phi, one_iso, verify_isogeny(phi, iso.target, iso.mu,
                                             iso.certificate)
-    mid = target_of(phi, mu_p)
-    quo, rem = right_divmod(iso.mu, mu_p)
-    if not rem.is_zero():
-        raise InternalInconsistency("p-part does not right-divide mu")
+    quo = exact_quotient(iso.mu, mu_p, "p-part does not right-divide mu",
+                         InternalInconsistency)
     cert_mid = certificate_factory(mid, quo.deg) if certificate_factory else None
     p_part = verify_isogeny(phi, mid, mu_p, iso.certificate)
     coprime = verify_isogeny(mid, iso.target, quo, cert_mid)
@@ -365,12 +401,9 @@ def factor_prime_power(iso, certificate_factory=None):
             link = cur_mu
             tgt = iso.target
         else:
-            link = right_gcd(cur_mu, phi_a(cur_src, p.gen))
-            tgt = target_of(cur_src, link)
-            quo, rem = right_divmod(cur_mu, link)
-            if not rem.is_zero():
-                raise InternalInconsistency("p-kernel does not divide mu")
-            cur_mu = quo
+            link, tgt = split_at(cur_src, cur_mu, p.gen)
+            cur_mu = exact_quotient(cur_mu, link, "p-kernel does not divide mu",
+                                    InternalInconsistency)
         cert_here = cert if cur_src == iso.source else (
             certificate_factory(cur_src, link.deg) if certificate_factory else None
         )
@@ -420,21 +453,10 @@ def normalize_isogeny(iso, galois):
     xi = {}
     for name in galois.names:
         elem = galois.generator_element(name)
-        smu = conjugate(galois, elem, mu)
-        ratio = None
-        for a, b in zip(smu.coeffs, mu.coeffs):
-            if b.is_zero():
-                if not a.is_zero():
-                    raise NotScalarConjugate("conjugate has different support")
-                continue
-            r = a / b
-            if not r.is_fq_constant():
-                raise NotScalarConjugate("conjugate is not an F_q^x multiple")
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise NotScalarConjugate("conjugate ratio is not constant")
-        xi[name] = ratio.as_fq() if ratio is not None else fq.one
+        ratio = scalar_ratio(conjugate(galois, elem, mu), mu)
+        if ratio is None or not ratio.is_fq_constant():
+            raise NotScalarConjugate("conjugate is not an F_q^x multiple")
+        xi[name] = ratio.as_fq()
     # order of the character; generator relations must hold
     n = 1
     for name, order in zip(galois.names, galois.orders):

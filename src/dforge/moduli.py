@@ -26,10 +26,12 @@ from .ideals import IdealA, unit_ideal
 from .isogeny import (
     Isogeny,
     dual as iso_dual,
+    exact_quotient,
+    split_at,
     target_of,
     verify_isogeny,
 )
-from .skew import lclm, right_divmod, right_gcd
+from .skew import lclm, right_gcd, scalar_ratio
 
 __all__ = [
     "ALElement",
@@ -71,12 +73,7 @@ def al_group(n):
     An element takes the full p-power of n for each prime in its support,
     keeping m coprime to n/m.
     """
-    blocks = []
-    for p, e in n.factors():
-        gen = p.gen
-        for _ in range(e - 1):
-            gen = gen * p.gen
-        blocks.append(IdealA(gen))
+    blocks = [IdealA(p.gen ** e) for p, e in n.factors()]
     out = []
     for r in range(len(blocks) + 1):
         for sub in combinations(blocks, r):
@@ -147,12 +144,10 @@ def al_apply(w, x, certificate_factory):
         return x
     phi = iso.source
     a_m = w.m.gen
-    mu_m = right_gcd(iso.mu, phi_a(phi, a_m))
-    phi_m = target_of(phi, mu_m)
+    mu_m, phi_m = split_at(phi, iso.mu, a_m)
     big = lclm(phi_a(phi, a_m), iso.mu)
-    eta, rem = right_divmod(big, mu_m)
-    if not rem.is_zero():
-        raise InternalInconsistency("kernel union is not divisible by the m-part")
+    eta = exact_quotient(big, mu_m, "kernel union is not divisible by the "
+                         "m-part", InternalInconsistency)
     psi_m = target_of(phi_m, eta)
     out = verify_isogeny(phi_m, psi_m, eta, certificate_factory(phi_m, eta.deg))
     if out.degree_ideal() != n:
@@ -167,30 +162,17 @@ def diagram_closure_check(w, x, certificate_factory):
     iso = x.iso
     phi = iso.source
     a_m = w.m.gen
-    mu_m = right_gcd(iso.mu, phi_a(phi, a_m))
+    mu_m, phi_m = split_at(phi, iso.mu, a_m)
     if mu_m.deg == 0:
         return True
-    phi_m = target_of(phi, mu_m)
     y = al_apply(w, x, certificate_factory)
-    eta = y.iso.mu
-    eta_m = right_gcd(eta, phi_a(phi_m, a_m))
+    eta_m = right_gcd(y.iso.mu, phi_a(phi_m, a_m))
     # dual of mu_m: phi_m -> phi
     mu_m_iso = verify_isogeny(phi, phi_m, mu_m,
                               certificate_factory(phi, mu_m.deg))
     hat = iso_dual(mu_m_iso, certificate_factory)
     # hat.mu = lambda * eta_m for a scalar lambda in K^x
-    lam = None
-    for a, b in zip(hat.mu.coeffs, eta_m.coeffs):
-        if b.is_zero():
-            if not a.is_zero():
-                return False
-            continue
-        r = a / b
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return False
-    return lam is not None and not lam.is_zero()
+    return scalar_ratio(hat.mu, eta_m) is not None
 
 
 @dataclass

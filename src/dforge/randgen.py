@@ -12,6 +12,7 @@ import random
 
 from .drinfeld import make_module
 from .fields import RatFunc
+from .ideals import IdealA
 from .skew import SkewPoly, right_divmod
 
 
@@ -100,8 +101,6 @@ def two_prime_point(rng, field, tries=200):
     degree (T - c1), g1: mid -> target of degree (T - c2), chi = g1 h cyclic
     of degree (T - c1)(T - c2).
     """
-    from .ideals import IdealA
-
     fq = field.fq
     T = field.T()
     for _ in range(tries):

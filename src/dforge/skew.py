@@ -17,6 +17,7 @@ __all__ = [
     "right_gcd",
     "right_gcd_bezout",
     "lclm",
+    "scalar_ratio",
     "skew_eval",
     "differential",
     "conjugate",
@@ -266,6 +267,14 @@ def lclm(a, b):
     if a.is_zero() or b.is_zero():
         raise BothZero("lclm needs two nonzero skew polynomials")
     return (_extended_right_euclid(a, b)[3] * a).monic()
+
+
+def scalar_ratio(a, b):
+    """The c in K with a = c*b for a nonzero b, or None when there is none."""
+    if a.deg != b.deg:
+        return None
+    c = a.lead() / b.lead()
+    return c if b.scale_left(c) == a else None
 
 
 def skew_eval(a, lam):

@@ -9,6 +9,8 @@ parser covers all of these with position-annotated errors.
 from __future__ import annotations
 
 from .errors import ParseError
+from .extfield import ExtField
+from .ideals import IdealA
 from .skew import SkewPoly
 
 _TOKENS = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
@@ -203,8 +205,6 @@ def parse_ext(text, field):
 
 
 def parse_rat(text, fq):
-    from .extfield import ExtField
-
     tmp = ExtField(fq)
     return parse_ext(text, tmp).coords[0]
 
@@ -233,6 +233,4 @@ def ideal_to_text(n):
 
 
 def parse_ideal(text, fq):
-    from .ideals import IdealA
-
     return IdealA(parse_poly(text, fq))

@@ -25,8 +25,18 @@ from .errors import (
     NotTreeMetric,
     OrbitNotClosed,
 )
+from .drinfeld import conjugate_module, j_invariant
 from .groups import CyclicProduct
 from .ideals import IdealA, unit_ideal
+from .isogeny import (
+    compose as iso_compose,
+    dual as iso_dual,
+    factor_prime_power,
+    primitive_part,
+    project_p,
+    verify_isogeny,
+)
+from .skew import SkewPoly
 
 
 class OrbitGroup(CyclicProduct):
@@ -461,8 +471,6 @@ def orbit_from_isogenies(conjugates, isogenies, galois, rng=None):
     -> conjugates[j]; metric entries are v_p of the degrees.  The group
     permutation is derived by matching j-invariants of conjugated modules.
     """
-    from .drinfeld import conjugate_module, j_invariant
-
     k = len(conjugates)
     jvals = [j_invariant(m).value for m in conjugates]
     if len(set(jvals)) != k:
@@ -523,30 +531,6 @@ def orbit_from_isogenies(conjugates, isogenies, galois, rng=None):
 
 # -- materialization -----------------------------------------------------------
 
-def _primitive_reduce(iso, certificate_factory):
-    """Strip phi_a right factors until the isogeny is primitive."""
-    from .drinfeld import phi_a
-    from .isogeny import verify_isogeny
-    from .skew import right_divmod
-
-    mu = iso.mu
-    src = iso.source
-    changed = True
-    while changed:
-        changed = False
-        cert = certificate_factory(src, mu.deg)
-        probe = verify_isogeny(src, iso.target, mu, cert)
-        deg = probe.degree_ideal()
-        for prime, _ in deg.factors():
-            quo, rem = right_divmod(mu, phi_a(src, prime.gen))
-            if rem.is_zero() and quo.deg >= 0 and not quo.is_zero():
-                mu = quo
-                changed = True
-                break
-    cert = certificate_factory(src, mu.deg)
-    return verify_isogeny(src, iso.target, mu, cert)
-
-
 def materialize_center(datum, result, certificate_factory):
     """Realize the glued descriptor as a module plus a cyclic n-isogeny.
 
@@ -555,14 +539,6 @@ def materialize_center(datum, result, certificate_factory):
     prime at a time.  Raises NotRealizable when a needed concrete leg is
     missing.
     """
-    from .isogeny import (
-        compose as iso_compose,
-        dual as iso_dual,
-        project_p,
-        verify_isogeny,
-    )
-    from .skew import SkewPoly
-
     if not datum.modules:
         raise NotRealizable("orbit datum carries no concrete modules")
     base = datum.modules[0]
@@ -620,17 +596,17 @@ def materialize_center(datum, result, certificate_factory):
             _, to_vertex = vertex_module(p, tree, vertex)
             # transport to the current glued module
             omega = iso_compose(to_vertex, iso_dual(cur_iso, factory), factory)
-            omega = _primitive_reduce(omega, factory)
+            omega = primitive_part(omega, factory)
             _, p_part, _ = project_p(omega, p, certificate_factory=factory)
             cur_iso = iso_compose(p_part, cur_iso, factory)
-            cur_iso = _primitive_reduce(cur_iso, factory)
+            cur_iso = primitive_part(cur_iso, factory)
         return cur_iso
 
     iso_psi = glue(result.psi_descriptor)
     iso_psi_prime = glue(result.psi_prime_descriptor)
     psi = iso_psi.target
     bridge = iso_compose(iso_psi_prime, iso_dual(iso_psi, factory), factory)
-    bridge = _primitive_reduce(bridge, factory)
+    bridge = primitive_part(bridge, factory)
     if bridge.degree_ideal() != result.n:
         raise InternalInconsistency("materialized isogeny degree differs from n")
     if not bridge.is_cyclic():
@@ -641,20 +617,13 @@ def materialize_center(datum, result, certificate_factory):
 def _walk_to_vertex(p, leg_x, leg_y, steps, factory):
     """Module at distance `steps` from pi_p(x) toward pi_p(y), with the
     primitive p-power isogeny from the base reaching it."""
-    from .isogeny import (
-        compose as iso_compose,
-        dual as iso_dual,
-        factor_prime_power,
-        project_p,
-    )
-
     _, px, _ = project_p(leg_x, p, certificate_factory=factory)
     if steps == 0:
         return px.target, px
     _, py, _ = project_p(leg_y, p, certificate_factory=factory)
     # primitive p-power X -> Y through the base
     rho = iso_compose(py, iso_dual(px, factory), factory)
-    rho = _primitive_reduce(rho, factory)
+    rho = primitive_part(rho, factory)
     chain = factor_prime_power(rho, certificate_factory=factory)
     if steps > len(chain):
         raise InternalInconsistency("walk longer than the p-power chain")
@@ -662,5 +631,5 @@ def _walk_to_vertex(p, leg_x, leg_y, steps, factory):
     for link in chain[1:steps]:
         walked = iso_compose(link, walked, factory)
     reach = iso_compose(walked, px, factory)
-    reach = _primitive_reduce(reach, factory)
+    reach = primitive_part(reach, factory)
     return reach.target, reach

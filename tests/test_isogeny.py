@@ -1,4 +1,5 @@
 """Isogeny machinery: verification, degrees, duals, p-parts, searches."""
+import functools
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from dforge.errors import (
     NotScalarConjugate,
 )
 from dforge.extfield import GaloisDatum
-from dforge.ideals import IdealA
+from dforge.ideals import IdealA, divisors_in_degree_order
 from dforge.isogeny import (
     _min_monic_dependence,
     annihilator,
@@ -34,7 +35,10 @@ from dforge.isogeny import (
     is_cyclic,
     is_primitive,
     normalize_isogeny,
+    primitive_part,
     project_p,
+    split_at,
+    target_of,
     verify_isogeny,
 )
 from dforge.randgen import (
@@ -43,7 +47,7 @@ from dforge.randgen import (
     rotation_pair,
     two_prime_point,
 )
-from dforge.skew import SkewPoly, conjugate, right_divmod
+from dforge.skew import SkewPoly, conjugate, right_divmod, scalar_ratio
 
 from helpers import get_fq, quadratic_field, rational_field
 
@@ -152,6 +156,103 @@ def test_degree_worked_example_and_counting():
     assert is_cyclic(iso)
     # #(A/deg) = q^(deg_tau mu)
     assert deg.degree == iso.mu.deg
+
+
+# A in {T+1, T, T^2+2, T^2, T^2+T+2}: coprime to, sharing a prime with, or a
+# square of the rotation degree T, split or irreducible
+A_GENS = ((1, 1), (0, 1), (2, 0, 1), (0, 0, 1), (2, 1, 1))
+
+
+@functools.cache
+def _non_cyclic_composites():
+    """(phi, fwd, A, iso) with iso = fwd phi_A for rotation pairs over F_3
+    and F_5: n1 = A (T - c) and n2 = (A).  Shared, so each annihilator is
+    computed once."""
+    out = []
+    for field in (Q3, rational_field(5)):
+        # seed 0 gives non-integral j on both fields: a certificate at
+        # bound 5 without the closure
+        phi, psi, fwd, _ = safe_pair(random.Random(0), field)
+        cert = CERTS(phi, 5)  # covers every deg_tau fwd phi_A
+        for coeffs in A_GENS:
+            a = field.fq.poly(list(coeffs))
+            out.append((phi, fwd, a,
+                        verify_isogeny(phi, psi, fwd * phi_a(phi, a), cert)))
+    return out
+
+
+def _divisor_scan(iso):
+    """n2 as the unique divisor of n1 of the complementary degree whose
+    phi right-divides mu: the reference for the split-degree reading."""
+    n1 = annihilator(iso)
+    k = iso.mu.deg - n1.degree
+    matches = [IdealA(d) for d in divisors_in_degree_order(n1.gen)
+               if d.degree == k
+               and right_divmod(iso.mu, phi_a(iso.source, d))[1].is_zero()]
+    assert len(matches) == 1
+    return matches[0]
+
+
+def test_degree_parts_against_the_divisor_scan():
+    for phi, fwd, a, iso in _non_cyclic_composites():
+        deg, n1, n2 = degree(iso)
+        assert n2 == IdealA(a) == _divisor_scan(iso)
+        assert n1 == IdealA(a) * degree(verify_isogeny(
+            phi, iso.target, fwd, CERTS(phi, fwd.deg)))[0]
+        assert deg == n1 * n2 and deg.degree == iso.mu.deg
+    assert len(_non_cyclic_composites()) == 2 * len(A_GENS)
+
+
+def test_primitive_part_divides_by_phi_n2():
+    for phi, fwd, a, iso in _non_cyclic_composites():
+        prim = primitive_part(iso, CERTS)
+        assert prim.mu == fwd
+        assert (prim.source, prim.target) == (iso.source, iso.target)
+        assert prim.is_cyclic() and prim.is_certified()
+        # a cyclic isogeny is its own primitive part
+        assert primitive_part(prim, CERTS) is prim
+
+
+def test_split_at_cuts_the_kernel():
+    for phi, fwd, a, iso in _non_cyclic_composites():
+        for b in (a, phi.field.fq.poly([1, 1]), phi.field.fq.poly([0, 1])):
+            part, mid = split_at(phi, iso.mu, b)
+            assert part.lead().is_one()
+            assert right_divmod(iso.mu, part)[1].is_zero()
+            assert right_divmod(phi_a(phi, b), part)[1].is_zero()
+            assert mid == target_of(phi, part)
+        assert split_at(phi, iso.mu, a)[0] == phi_a(phi, a).monic()
+    # T + 1 misses the kernel of a (T)-isogeny: the part is 1, mid is phi
+    fq, datum, phi, sphi, mu, eta = worked_example()
+    part, mid = split_at(sphi, mu, F3.poly([1, 1]))
+    assert part.is_one() and mid is sphi
+
+
+def test_scalar_ratio():
+    rng = random.Random(53)
+    a = SkewPoly(K3, tuple(random_ext_elem(rng, K3, 1) for _ in range(3))
+                 + (K3.one,))
+    c = K3.gen() + K3.one
+    assert scalar_ratio(a.scale_left(c), a) == c
+    assert scalar_ratio(a, a).is_one()
+    # different tau-degrees, among them a truncated multiple, on whose
+    # common coefficients the ratio is c
+    assert scalar_ratio(a, a * SkewPoly.tau(K3)) is None
+    shorter = SkewPoly(K3, a.coeffs[:-1])
+    assert scalar_ratio(shorter.scale_left(c), a) is None
+    assert scalar_ratio(a.scale_left(c), shorter) is None
+    assert scalar_ratio(SkewPoly(K3, ()), a) is None
+    # same degree, no common ratio
+    other = a + SkewPoly.from_scalar(K3.one)
+    assert scalar_ratio(other, a) is None
+
+
+def test_normalize_isogeny_rejects_unfixed_models():
+    fq, datum, phi, sphi, mu, eta = worked_example()
+    assert not all(datum.is_fixed(c) for c in phi.phiT.coeffs)
+    iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
+    with pytest.raises(NotScalarConjugate):
+        normalize_isogeny(iso, datum)
 
 
 def test_degree_requires_certificate():
