@@ -162,7 +162,7 @@ def _iso_json(iso):
         "degree": ideal_to_text(deg),
         "n1": ideal_to_text(n1),
         "n2": ideal_to_text(n2),
-        "certificate-bound": iso.certificate_bound,
+        "certificate-bound": iso.certificate.bound,
     }
 
 

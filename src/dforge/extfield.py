@@ -190,7 +190,7 @@ class ExtFieldElem:
         fld = self.field
         if self.is_zero():
             raise DivisionByZero("inverse of zero in K")
-        if fld.e == 1 or self.in_base():
+        if self.in_base():
             vec = [self.coords[0].inverse()] + [fld.fq.rat_zero] * (fld.e - 1)
             return ExtFieldElem(fld, tuple(vec))
         # solve self * y = 1: column j holds the coordinates of self * x^j,

@@ -72,12 +72,14 @@ class IdealA:
             self._factors = factor_ideal(self, rng)
         return self._factors
 
-    def valuation(self, p, rng=None):
-        """v_p of this ideal (multiplicity of the prime p in the factorization)."""
-        for prime, mult in self.factors(rng):
-            if prime == p:
-                return mult
-        return 0
+    def valuation(self, p):
+        """v_p of this ideal for a prime p, by repeated exact division."""
+        k, rest = 0, self.gen
+        while True:
+            quo, rem = divmod(rest, p.gen)
+            if not rem.is_zero():
+                return k
+            k, rest = k + 1, quo
 
     def is_square_free(self, rng=None):
         return all(m == 1 for _, m in self.factors(rng))

@@ -8,9 +8,17 @@ n2 | n1, n1 the annihilator ideal, and deg(n1 n2) = deg_tau mu.  Kernel
 structure goes through two helpers: `split_at` cuts Ker mu at phi[a] (a
 right gcd and the module it lands on), and `primitive_part` divides mu by
 phi_{n2}; every cofactor is an `exact_quotient`.
+
+Every Isogeny is certified: `verify_isogeny` builds one only with a non-CM
+certificate that covers the source at deg_tau mu, and every operation that
+derives an isogeny asks its `certificate_factory` for the certificate the
+new one needs.  The degree, dual and p-part facts below rest on that
+invariant.  CM modules are reached through `intertwiner_space` and
+`endo_search`, which return skew polynomials, not isogenies.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -56,9 +64,10 @@ __all__ = [
 
 
 class Isogeny:
-    """A validated triple (source, target, mu) with cached kernel data."""
+    """A validated triple (source, target, mu) with cached kernel data; the
+    certificate covers the source at deg_tau mu (see verify_isogeny)."""
 
-    def __init__(self, source, target, mu, certificate=None):
+    def __init__(self, source, target, mu, certificate):
         self.source = source
         self.target = target
         self.mu = mu
@@ -68,26 +77,11 @@ class Isogeny:
     def field(self):
         return self.mu.field
 
-    @property
-    def certificate_bound(self):
-        return None if self.certificate is None else self.certificate.bound
-
-    def is_certified(self):
-        """True when the certificate covers the source at deg_tau mu."""
-        return (self.certificate is not None
-                and self.certificate.covers(self.source, self.mu.deg))
-
-    def require_certificate(self):
-        if not self.is_certified():
-            raise MissingCertificate("operation needs the source certified "
-                                     f"non-CM to bound {self.mu.deg}")
-
     @cached_property
     def annihilator_ideal(self):
         return _annihilator(self)
 
     def degree_parts(self):
-        self.require_certificate()
         return self._degree_parts
 
     @cached_property
@@ -122,8 +116,9 @@ class Isogeny:
         return f"Isogeny({self.mu} : {self.source.phiT} -> {self.target.phiT})"
 
 
-def verify_isogeny(phi, psi, mu, certificate=None):
-    """Check mu phi_T = psi_T mu and separability, returning the Isogeny."""
+def verify_isogeny(phi, psi, mu, certificate):
+    """Check mu phi_T = psi_T mu, separability and that the certificate
+    covers phi at deg_tau mu, returning the Isogeny."""
     if mu.is_zero():
         raise NotIntertwining("the zero map is not an isogeny")
     if mu.field is not phi.field or psi.field is not phi.field:
@@ -133,6 +128,9 @@ def verify_isogeny(phi, psi, mu, certificate=None):
                           "generic characteristic")
     if mu * phi.phiT != psi.phiT * mu:
         raise NotIntertwining("mu phi_T != psi_T mu")
+    if not certificate.covers(phi, mu.deg):
+        raise MissingCertificate("isogeny needs its source certified non-CM "
+                                 f"to bound {mu.deg}")
     return Isogeny(phi, psi, mu, certificate)
 
 
@@ -303,39 +301,34 @@ def primitive_part(iso, certificate_factory):
                           certificate_factory(iso.source, quo.deg))
 
 
-def dual(iso, certificate_factory=None):
+def dual(iso, certificate_factory):
     """The unique eta with eta mu = phi_{a_n} and mu eta = psi_{a_n}.
 
-    deg_tau eta = deg_tau mu, so the factory, when given, certifies the
-    target to that bound.
+    deg_tau eta = deg_tau mu, so the factory certifies the target to that
+    bound.
     """
-    cert = (certificate_factory(iso.target, iso.mu.deg)
-            if certificate_factory else None)
-    deg, _, _ = iso.degree_parts()
-    a_n = deg.gen
-    eta = exact_quotient(phi_a(iso.source, a_n), iso.mu,
+    cert = certificate_factory(iso.target, iso.mu.deg)
+    a_n = iso.degree_ideal().gen
+    phi_an = phi_a(iso.source, a_n)
+    eta = exact_quotient(phi_an, iso.mu,
                          "phi_{a_n} is not right-divisible by mu")
-    if eta * iso.mu != phi_a(iso.source, a_n):
+    if eta * iso.mu != phi_an:
         raise InternalInconsistency("dual does not reproduce phi_{a_n}")
     if iso.mu * eta != phi_a(iso.target, a_n):
         raise InternalInconsistency("dual does not reproduce psi_{a_n}")
     return verify_isogeny(iso.target, iso.source, eta, cert)
 
 
-def compose(g, f, certificate_factory=None):
-    """The composite isogeny g o f; degree multiplicativity checked when
-    all three isogenies are certified.  The factory, when given, certifies
-    f's source to deg f + deg g; without one the composite keeps f's
-    certificate."""
+def compose(g, f, certificate_factory):
+    """The composite isogeny g o f, with degree multiplicativity checked;
+    the factory certifies f's source to deg f + deg g."""
     if f.target != g.source:
         raise ChainMismatch("target of the first leg differs from the source "
                             "of the second")
-    cert = (certificate_factory(f.source, f.mu.deg + g.mu.deg)
-            if certificate_factory else f.certificate)
-    out = verify_isogeny(f.source, g.target, g.mu * f.mu, cert)
-    if out.is_certified() and f.is_certified() and g.is_certified():
-        if out.degree_ideal() != f.degree_ideal() * g.degree_ideal():
-            raise InternalInconsistency("degree multiplicativity failed")
+    out = verify_isogeny(f.source, g.target, g.mu * f.mu,
+                         certificate_factory(f.source, f.mu.deg + g.mu.deg))
+    if out.degree_ideal() != f.degree_ideal() * g.degree_ideal():
+        raise InternalInconsistency("degree multiplicativity failed")
     return out
 
 
@@ -348,36 +341,35 @@ def delta_p(iso, p):
     return deg.valuation(p)
 
 
-def project_p(iso, p, certificate_factory=None):
+def project_p(iso, p, certificate_factory):
     """Split a primitive cyclic isogeny as (prime-to-p) o (p-part).
 
-    Returns (pi_p_target, p_part, coprime_part); the p-part is the right
-    gcd of mu with phi_{a_p^k} for k = deg_tau mu, which always bounds the
-    p-primary kernel.
+    Returns (pi_p_target, p_part, coprime_part).  Ker mu is cyclic, A/(n),
+    so its p-primary part is killed by p^k with k = v_p(n): the p-part is
+    the right gcd of mu with phi_{a_p^k}.  k = 0 is the trivial split,
+    (phi, 1, iso).
     """
-    if not iso.is_cyclic():
+    deg, _, n2 = iso.degree_parts()
+    if not n2.is_unit():
         raise NotCyclic("project_p needs a primitive cyclic isogeny")
     phi = iso.source
-    mu_p, mid = split_at(phi, iso.mu, p.gen ** max(iso.mu.deg, 1))
-    if mu_p.deg == 0:
-        # p does not divide the degree
-        one_iso = verify_isogeny(phi, phi, SkewPoly.from_scalar(phi.field.one),
-                                 iso.certificate)
-        return phi, one_iso, verify_isogeny(phi, iso.target, iso.mu,
-                                            iso.certificate)
+    k = deg.valuation(p)
+    if k == 0:
+        one = SkewPoly.from_scalar(phi.field.one)
+        return phi, verify_isogeny(phi, phi, one, iso.certificate), iso
+    mu_p, mid = split_at(phi, iso.mu, p.gen ** k)
     quo = exact_quotient(iso.mu, mu_p, "p-part does not right-divide mu",
                          InternalInconsistency)
-    cert_mid = certificate_factory(mid, quo.deg) if certificate_factory else None
     p_part = verify_isogeny(phi, mid, mu_p, iso.certificate)
-    coprime = verify_isogeny(mid, iso.target, quo, cert_mid)
-    if iso.is_certified():
-        dp = p_part.degree_ideal()
-        if dp.valuation(p) * p.degree != dp.degree:
-            raise InternalInconsistency("p-part degree is not a p-power")
+    coprime = verify_isogeny(mid, iso.target, quo,
+                             certificate_factory(mid, quo.deg))
+    dp = p_part.degree_ideal()
+    if dp.valuation(p) * p.degree != dp.degree:
+        raise InternalInconsistency("p-part degree is not a p-power")
     return mid, p_part, coprime
 
 
-def factor_prime_power(iso, certificate_factory=None):
+def factor_prime_power(iso, certificate_factory):
     """Factor a cyclic p^n-isogeny into n p-isogenies, unique up to units.
 
     The composite of the returned factors equals mu exactly; each step
@@ -395,7 +387,6 @@ def factor_prime_power(iso, certificate_factory=None):
     out = []
     cur_mu = iso.mu
     cur_src = iso.source
-    cert = iso.certificate
     for step in range(n):
         if step == n - 1:
             link = cur_mu
@@ -404,10 +395,9 @@ def factor_prime_power(iso, certificate_factory=None):
             link, tgt = split_at(cur_src, cur_mu, p.gen)
             cur_mu = exact_quotient(cur_mu, link, "p-kernel does not divide mu",
                                     InternalInconsistency)
-        cert_here = cert if cur_src == iso.source else (
-            certificate_factory(cur_src, link.deg) if certificate_factory else None
-        )
-        out.append(verify_isogeny(cur_src, tgt, link, cert_here))
+        cert = (iso.certificate if step == 0
+                else certificate_factory(cur_src, link.deg))
+        out.append(verify_isogeny(cur_src, tgt, link, cert))
         cur_src = tgt
     comp = out[0].mu
     for nxt in out[1:]:
@@ -417,14 +407,14 @@ def factor_prime_power(iso, certificate_factory=None):
     return out
 
 
-def find_isogenies(phi, psi, bound, candidates=None, certificate_factory=None):
+def find_isogenies(phi, psi, bound, candidates=None, *, certificate_factory):
     """All intertwiners of tau-degree <= bound as validated isogenies.
 
     Complete over K = Q; candidate-restricted over proper extensions (the
-    caller supplies constant terms).  The factory, when given, certifies phi
-    to the bound.
+    caller supplies constant terms).  The factory certifies phi to the
+    bound.
     """
-    cert = certificate_factory(phi, bound) if certificate_factory else None
+    cert = certificate_factory(phi, bound)
     space = intertwiner_space(phi, psi, bound, candidates)
     return [verify_isogeny(phi, psi, u, cert) for u in space]
 
@@ -437,7 +427,6 @@ def normalize_isogeny(iso, galois):
     order of the character, lambda = c_0^n is fixed, and mu = c_0 *
     mu_normalized with mu_normalized fixed and of constant term 1.
     """
-    iso.require_certificate()
     if not iso.is_primitive():
         raise NotPrimitive("normalization needs a primitive isogeny")
     field = iso.field
@@ -470,7 +459,7 @@ def normalize_isogeny(iso, galois):
         while acc != fq.one:
             acc = acc * val
             k += 1
-        n = (n * k) // _gcd_int(n, k)
+        n = math.lcm(n, k)
     lam = c0 ** n
     if not galois.is_fixed(lam):
         raise InternalInconsistency("lambda = c0^n is not Galois-fixed")
@@ -479,9 +468,3 @@ def normalize_isogeny(iso, galois):
         if not galois.is_fixed(c):
             raise InternalInconsistency("normalized coefficients not fixed")
     return n, lam, mu_norm
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a

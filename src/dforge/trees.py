@@ -80,9 +80,6 @@ class OrbitDatum:
     validated: bool = False
     support: tuple = ()
 
-    def metric(self, p):
-        return self.metrics[p]
-
 
 def validate_orbit(datum):
     """Check symmetry, G-invariance, the triangle and four-point conditions.
@@ -550,15 +547,12 @@ def materialize_center(datum, result, certificate_factory):
             one = SkewPoly.from_scalar(base.field.one)
             return verify_isogeny(base, base, one, factory(base, 0))
         iso = datum.isogenies.get((0, i))
-        if iso is None:
-            rev = datum.isogenies.get((i, 0))
-            if rev is None:
-                raise NotRealizable(f"no concrete leg between the base and {i}")
-            iso = iso_dual(rev, factory)
-        if iso.certificate is None:
-            iso = verify_isogeny(iso.source, iso.target, iso.mu,
-                                 factory(iso.source, iso.mu.deg))
-        return iso
+        if iso is not None:
+            return iso
+        rev = datum.isogenies.get((i, 0))
+        if rev is None:
+            raise NotRealizable(f"no concrete leg between the base and {i}")
+        return iso_dual(rev, factory)
 
     def vertex_module(p, tree, vertex):
         """Module whose pi_p sits at the given subtree vertex, and the

@@ -365,6 +365,22 @@ def test_factor_ideal_examples():
     assert factor_ideal(IdealA(t2p1)) == [(IdealA(t2p1), 1)]
 
 
+def test_valuation_against_the_factorization():
+    # v_p by repeated division is the multiplicity of p in factor_ideal, at
+    # the primes of the ideal and at the linear primes, which may miss it
+    rng = random.Random(71)
+    planted = (F3.poly([1, 1]) ** 3) * F3.poly([1, 0, 1]) ** 2
+    gens = [planted] + [F3.poly([rng.randrange(3) for _ in range(d)] + [1])
+                        for d in range(1, 8) for _ in range(4)]
+    linear = [IdealA(F3.poly([c, 1])) for c in range(3)]
+    for gen in gens:
+        ideal = IdealA(gen)
+        mults = dict(ideal.factors())
+        for p in set(mults) | set(linear):
+            assert ideal.valuation(p) == mults.get(p, 0)
+    assert IdealA(planted).valuation(IdealA(F3.poly([1, 1]))) == 3
+
+
 @pytest.mark.parametrize("fq", [F3, F9, F4])
 def test_factor_ideal_remultiplies_and_factors_irreducible(fq):
     rng = random.Random(23)
@@ -786,6 +802,27 @@ def test_no_function_local_imports():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 hits += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert hits == []
+
+
+def test_no_defaulted_certificate_parameters():
+    # every Isogeny is certified when it is built, so no function of the
+    # program takes a certificate or a certificate factory that may be
+    # left out
+    names = ("certificate", "certificate_factory")
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            hits += [f"{path.name}:{fn.lineno}: {a.arg}" for a in defaulted
+                     if a.arg in names]
     assert hits == []
 
 

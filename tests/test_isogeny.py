@@ -94,7 +94,7 @@ def test_verify_endomorphism_and_errors():
     assert iso.mu == phi_a(phi, a)
     other = random_module(rng, Q3)
     with pytest.raises(NotIntertwining):
-        verify_isogeny(phi, other, SkewPoly.from_scalar(Q3.one))
+        verify_isogeny(phi, other, SkewPoly.from_scalar(Q3.one), CERTS(phi, 0))
 
 
 def test_verify_rejects_inseparable_input():
@@ -103,7 +103,7 @@ def test_verify_rejects_inseparable_input():
     rng = random.Random(2)
     phi = random_module(rng, Q3)
     with pytest.raises(Inseparable):
-        verify_isogeny(phi, phi, SkewPoly.tau(Q3))
+        verify_isogeny(phi, phi, SkewPoly.tau(Q3), CERTS(phi, 1))
 
 
 def test_delta_p_requires_primitive():
@@ -208,7 +208,8 @@ def test_primitive_part_divides_by_phi_n2():
         prim = primitive_part(iso, CERTS)
         assert prim.mu == fwd
         assert (prim.source, prim.target) == (iso.source, iso.target)
-        assert prim.is_cyclic() and prim.is_certified()
+        assert prim.is_cyclic()
+        assert prim.certificate.covers(prim.source, prim.mu.deg)
         # a cyclic isogeny is its own primitive part
         assert primitive_part(prim, CERTS) is prim
 
@@ -255,11 +256,14 @@ def test_normalize_isogeny_rejects_unfixed_models():
         normalize_isogeny(iso, datum)
 
 
-def test_degree_requires_certificate():
+def test_verify_requires_a_covering_certificate():
+    # an isogeny is certified when it is built: a certificate of lower
+    # bound, or one for another module, is refused by the constructor
     fq, datum, phi, sphi, mu, eta = worked_example()
-    iso = verify_isogeny(sphi, phi, mu)
     with pytest.raises(MissingCertificate):
-        degree(iso)
+        verify_isogeny(sphi, phi, mu, certify_non_cm(sphi, 0))
+    with pytest.raises(MissingCertificate):
+        verify_isogeny(sphi, phi, mu, CERTS(phi, 1))
 
 
 def test_dual_examples():
@@ -303,9 +307,9 @@ def test_compose_identity_and_mismatch():
     phi, psi, fwd, back = safe_pair(rng, Q3)
     iso = verify_isogeny(phi, psi, fwd, CERTS(phi, 2))
     ident = verify_isogeny(phi, phi, SkewPoly.from_scalar(Q3.one), CERTS(phi, 2))
-    assert compose(iso, ident).mu == iso.mu
+    assert compose(iso, ident, CERTS).mu == iso.mu
     with pytest.raises(ChainMismatch):
-        compose(ident, iso)
+        compose(ident, iso, CERTS)
 
 
 def test_compose_dual_gives_phi_a():
@@ -437,16 +441,16 @@ def test_project_requires_cyclic():
 def test_factor_prime_power():
     fq, datum, phi, sphi, mu, eta = worked_example()
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
-    fac = factor_prime_power(iso)
+    fac = factor_prime_power(iso, CERTS)
     assert len(fac) == 1 and fac[0].mu == iso.mu
     scalar = verify_isogeny(phi, phi, SkewPoly.from_scalar(K3.one),
                             CERTS(phi, 1))
-    assert factor_prime_power(scalar) == []
+    assert factor_prime_power(scalar, CERTS) == []
     # planted degree-p^2 composite: mu2 mu1 with matching prime
     d = dual(iso, CERTS)
     comp = compose(iso, d, CERTS)  # phi -> phi, deg (T)^2
     with pytest.raises(NotPrimePower):
-        factor_prime_power(comp)  # kernel is phi[T]: not cyclic
+        factor_prime_power(comp, CERTS)  # kernel is phi[T]: not cyclic
 
 
 def _cyclic_square(rng, field, c):
@@ -511,6 +515,44 @@ def test_factor_prime_power_cyclic_square():
         done += 1
 
 
+def _split_at_full_degree(iso, p):
+    """(mid, p-part, cofactor) from the split at phi_{p^k}, k = deg_tau mu:
+    that power kills the p-primary kernel of any isogeny, so it is the
+    reference for the split at k = v_p(deg)."""
+    part, mid = split_at(iso.source, iso.mu, p.gen ** max(iso.mu.deg, 1))
+    quo, rem = right_divmod(iso.mu, part)
+    assert rem.is_zero()
+    return mid, part, quo
+
+
+def test_project_p_against_the_full_degree_split():
+    # two-prime points and cyclic (T - c)^2 isogenies, projected at every
+    # linear prime: both primes of the degree, and primes prime to it
+    from dforge.errors import CMSuspected
+
+    rng = random.Random(61)
+    cases = []
+    while len(cases) < 6:
+        try:
+            if len(cases) < 3:
+                phi, _, tgt, _, _, chi, _, _ = two_prime_point(rng, Q3)
+            else:
+                c = F3.elem_packed(rng.randrange(3))
+                phi, tgt, chi = _cyclic_square(rng, Q3, c)
+            cases.append(verify_isogeny(phi, tgt, chi, CERTS(phi, 2)))
+        except CMSuspected:
+            continue
+    for iso in cases:
+        for c in range(3):
+            p = IdealA(F3.poly([c, 1]))
+            mid, p_part, coprime = project_p(iso, p, CERTS)
+            ref_mid, ref_part, ref_quo = _split_at_full_degree(iso, p)
+            assert mid == ref_mid
+            assert p_part.mu == ref_part
+            assert coprime.mu == ref_quo
+            assert (p_part.mu.deg == 0) == (degree(iso)[0].valuation(p) == 0)
+
+
 def test_find_isogenies_scalars_and_twist():
     rng = random.Random(37)
     phi = random_module(rng, Q3)
@@ -520,7 +562,7 @@ def test_find_isogenies_scalars_and_twist():
     psi = make_module(
         SkewPoly.from_scalar(c) * phi.phiT * SkewPoly.from_scalar(c.inverse())
     )
-    found = find_isogenies(phi, psi, 0)
+    found = find_isogenies(phi, psi, 0, certificate_factory=CERTS)
     assert found, "conjugating scalar not found"
     assert any((u.mu.constant() / c).is_fq_constant() for u in found)
 

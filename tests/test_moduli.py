@@ -158,7 +158,7 @@ def test_star_orbit_rejects_even_q():
     Q4 = ExtField(f4)
     T = Q4.T()
     phi = make_module(SkewPoly(Q4, (T, Q4.one, Q4.one)))
-    iso = verify_isogeny(phi, phi, SkewPoly.from_scalar(Q4.one))
+    iso = verify_isogeny(phi, phi, SkewPoly.from_scalar(Q4.one), CERTS(phi, 0))
     with pytest.raises(EvenCharacteristicUnsupported):
         star_orbit(ModuliPoint(iso), CERTS)
 
