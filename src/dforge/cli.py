@@ -216,6 +216,8 @@ def cmd_project(ctx):
     iso = ctx.param("isogeny")
     with _reading():
         p = parse_ideal(ctx.params["prime"], ctx.fq)
+    if not is_irreducible(p.gen):
+        raise ParseError(f"params.prime {p!r} is not a prime ideal")
     mid, p_part, coprime = project_p(iso, p, certificate_factory=ctx.certs)
     return {
         "pi_p_target": skew_to_text(mid.phiT),

@@ -73,7 +73,12 @@ class IdealA:
         return self._factors
 
     def valuation(self, p):
-        """v_p of this ideal for a prime p, by repeated exact division."""
+        """v_p of this ideal for a prime p, by repeated exact division.
+
+        The unit ideal divides everything, so it has no valuation: the loop
+        would never end, and it is refused with ValueError."""
+        if p.is_unit():
+            raise ValueError("valuation at the unit ideal")
         k, rest = 0, self.gen
         while True:
             quo, rem = divmod(rest, p.gen)

@@ -37,7 +37,7 @@ from .errors import (
     NotScalarConjugate,
     StructureError,
 )
-from .fields import FqElem, cleared_numerators
+from .fields import FqElem, cleared_numerators, is_irreducible
 from .ideals import IdealA, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
 from .skew import SkewPoly, conjugate, right_divmod, right_gcd, scalar_ratio
@@ -347,8 +347,11 @@ def project_p(iso, p, certificate_factory):
     Returns (pi_p_target, p_part, coprime_part).  Ker mu is cyclic, A/(n),
     so its p-primary part is killed by p^k with k = v_p(n): the p-part is
     the right gcd of mu with phi_{a_p^k}.  k = 0 is the trivial split,
-    (phi, 1, iso).
+    (phi, 1, iso).  p must be a prime ideal: at a composite p the p-power
+    check below passes on any power of p, so it is refused with ValueError.
     """
+    if not is_irreducible(p.gen):
+        raise ValueError(f"project_p needs a prime ideal, not {p!r}")
     deg, _, n2 = iso.degree_parts()
     if not n2.is_unit():
         raise NotCyclic("project_p needs a primitive cyclic isogeny")

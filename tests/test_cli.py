@@ -213,6 +213,19 @@ def test_cli_find_and_project(tmp_path):
     assert data["p_part"]["degree"] == "(1)"
 
 
+def test_cli_project_refuses_a_non_prime(tmp_path, capsys):
+    # the unit ideal and a prime power are not primes; v_(1) has no end
+    doc = example_doc()
+    path = tmp_path / "job.json"
+    for prime in ("(1)", "2", "(T^2)"):
+        doc["params"] = {"isogeny": "mu", "prime": prime}
+        path.write_text(json.dumps(doc))
+        assert main(["project", "--in", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "parse error:" in out.err and "not a prime ideal" in out.err
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     doc = example_doc()
     doc["modules"]["phi"] = "T + * t"

@@ -379,6 +379,9 @@ def test_valuation_against_the_factorization():
         for p in set(mults) | set(linear):
             assert ideal.valuation(p) == mults.get(p, 0)
     assert IdealA(planted).valuation(IdealA(F3.poly([1, 1]))) == 3
+    # the unit ideal divides everything: refused, not an endless division
+    with pytest.raises(ValueError):
+        IdealA(planted).valuation(IdealA(F3.poly([2])))
 
 
 @pytest.mark.parametrize("fq", [F3, F9, F4])

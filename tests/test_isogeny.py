@@ -390,6 +390,17 @@ def test_project_p_trivial_and_full():
     assert coprime.mu.deg == 0
 
 
+def test_project_p_and_delta_p_refuse_a_non_prime():
+    fq, datum, phi, sphi, mu, eta = worked_example()
+    iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
+    unit = IdealA(F3.poly([1]))
+    for p in (unit, T_IDEAL * T_IDEAL):
+        with pytest.raises(ValueError):
+            project_p(iso, p, certificate_factory=CERTS)
+    with pytest.raises(ValueError):
+        delta_p(iso, unit)
+
+
 def test_project_p_splits_two_prime_point():
     rng = random.Random(23)
     from dforge.errors import CMSuspected
