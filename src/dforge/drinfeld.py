@@ -484,6 +484,23 @@ def _residue_primes(field, degree):
         k += 1
 
 
+def _has_root(P):
+    """True when P has degree >= 2 and a root in F_q, so is reducible:
+    Horner's rule at each element of F_q on the scalar kernels, which costs
+    less than building A/P for its Rabin test."""
+    if P.degree < 2:
+        return False
+    fq = P.field
+    coeffs = [int(c) for c in P.array[::-1]]
+    for x in range(fq.q):
+        acc = 0
+        for c in coeffs:
+            acc = fq.sadd(fq.smul(acc, x), c)
+        if acc == 0:
+            return True
+    return False
+
+
 def _reduce_tails(F, tails, s):
     """The tails' coefficients mapped to A/P by x -> s, or None when a
     coefficient's denominator vanishes mod P.
@@ -532,7 +549,9 @@ def _modular_dimension(field, tails, bound, residue_degree):
     [F : F_q], so residue degrees below 2 bound + 2 give too large a
     dimension far more often.  Primes of degree <= bound divide some
     T^(q^i) - T, i <= bound, a factor of the closure's denominators, and
-    usually of the tails' leads: those are skipped.
+    usually of the tails' leads: those are skipped.  A reducible candidate
+    is dropped unrecorded, first by its roots in F_q (`_has_root`), then by
+    Rabin's test.
     """
     expected = bound // 2 + 1
     t1 = tails[0]
@@ -542,6 +561,8 @@ def _modular_dimension(field, tails, bound, residue_degree):
     candidates = _residue_primes(field, residue_degree)
     for _ in range(_PRIME_CANDIDATE_BUDGET):
         P, s = next(candidates)
+        if _has_root(P):
+            continue
         F = ResidueField(field.fq, P)
         if not F.is_field():
             continue

@@ -6,13 +6,16 @@ little-endian numpy int64 arrays of packed values.  Only `Fq.arr_axpy` and
 the scalar ops (`sadd`, `smul`, ...) know that packing: addition of packed
 values is done there, as integers mod p when d = 1, through an addition
 table when q <= 256 and digit by digit above.  Addition, subtraction and
-negation are calls to `arr_axpy`, and so is each step of a division when
-d > 1; for d = 1, where packed values are integers mod p, a division
-reduces lazily, with one `% p` at the end (`Fq.arr_mod_inplace`).
+negation are calls to `arr_axpy`, and so is each step of a short division
+when d > 1; for d = 1, where packed values are integers mod p, a short
+division reduces lazily, with one `% p` at the end (`Fq.arr_mod_inplace`).
+A division with a long quotient multiplies by a Newton inverse of the
+reversed divisor instead (`Fq.arr_divmod`).
 Multiplication in F_q goes through discrete log/exp tables for every q.
 Products in F_q[T] are exact integer convolutions of F_p digits: short ones
 with all coefficients in F_p use np.convolve, all others go through
-Kronecker substitution into one Python integer product (`_kron_conv`).
+Kronecker substitution into one Python integer product (`_kron_conv`); the
+switch looks at both lengths and the slot width (`_kron_pays`).
 A product by a constant skips these kernels: it is a scalar multiply, and
 the constant 1 returns the other operand (`PolyA.__mul__`).
 Matrices over F_q multiply the same way, by integer products of F_p digits
@@ -242,8 +245,10 @@ class Fq:
                 conv = _kron_conv(da, db, p) % p
                 digits = (conv @ self._red[: conv.shape[1]]) % p
                 return _trim(digits @ self._pp)
-        # all coefficients in F_p, where packed values are the digits
-        if min(len(a), len(b)) < _KRON_MIN_LEN:
+        # all coefficients in F_p, where packed values are the digits; the
+        # length floor is tested first, as most products are short
+        if (min(len(a), len(b)) < _KRON_MIN_SHORT
+                or not _kron_pays(len(a), len(b), p)):
             return np.convolve(a, b) % p
         return _kron_conv(a[:, None], b[:, None], p)[:, 0] % p
 
@@ -254,16 +259,55 @@ class Fq:
         h = np.flatnonzero(digits.any(axis=0))[-1] + 1
         return digits[:, :h]
 
-    def arr_divmod(self, a, b):
+    def arr_divmod(self, a, b, inverse=None):
+        """(quotient, remainder) of a by b.
+
+        When the quotient length k reaches `_NEWTON_MIN_LEN`, the quotient
+        is rev(a) / rev(b) mod x^k, reversed, and costs two products besides
+        the inverse (`arr_rev_inverse`; an `inverse` of b to precision >= k
+        from an earlier call is used instead).  Lemma (MCA Algorithm 9.5):
+        with n = len(a) - 1, m = len(b) - 1 and a = quo b + rem, deg rem <
+        m, reversal x^n a(1/x) gives rev(a) = rev(quo) rev(b) + x^(n - m +
+        1) rev(rem), so rev(quo) = rev(a) / rev(b) mod x^k, and rem = a -
+        quo b needs only the m low coefficients of quo b.  Other divisions
+        cancel one coefficient per step (`arr_mod_inplace`).
+        """
         if len(b) == 0:
             raise DivisionByZero("polynomial division by zero")
         if len(a) < len(b):
             return _EMPTY, a
         if len(b) == 1:
             return self.arr_scalar_mul(a, self.sinv(int(b[0]))), _EMPTY
+        k, m = len(a) - len(b) + 1, len(b) - 1
+        if k >= _NEWTON_MIN_LEN:
+            if inverse is None or len(inverse) < k:
+                inverse = self.arr_rev_inverse(b, k)
+            rev_quo = self.arr_mul(_trim(a[m:][::-1]), inverse[:k])
+            quo = _pad(rev_quo[:k], k)[::-1].copy()
+            low = self.arr_mul(_trim(quo[:m]), _trim(b[:m]))[:m]
+            return quo, _trim(self.arr_axpy(a[:m], self.p - 1, _pad(low, m)))
         r = a.copy()
         rem = self.arr_mod_inplace(r, b)
-        return self.arr_scalar_mul(r[len(b) - 1:], self.sinv(int(b[-1]))), rem
+        return self.arr_scalar_mul(r[m:], self.sinv(int(b[-1]))), rem
+
+    def arr_rev_inverse(self, b, k):
+        """1 / rev(b) mod x^k, rev(b) = b reversed, for lc(b) != 0, by Newton
+        iteration with precision doubling (MCA Algorithm 9.3).
+
+        Lemma: if rev(b) g = 1 + x^l h mod x^(2l), then g' = g - x^l (g h
+        mod x^l) has rev(b) g' = 1 - x^(2l) h^2 = 1 mod x^(2l), and g' = g
+        mod x^l.  So each step keeps g and appends the l coefficients
+        -(g h mod x^l), where h is coefficients l .. 2l - 1 of rev(b) g;
+        both products are `arr_mul`, for every q.
+        """
+        f = b[::-1]
+        g = np.array([self.sinv(int(f[0]))], dtype=np.int64)
+        while len(g) < k:
+            l, n = len(g), min(2 * len(g), k)
+            h = _trim(self.arr_mul(_trim(f[:n]), g)[l:n])
+            gh = self.arr_mul(_trim(g[: n - l]), h)[: n - l]
+            g = np.concatenate((g, self.arr_neg(_pad(gh, n - l))))
+        return g
 
     def arr_mod_inplace(self, r, b):
         """r mod b where r is a private writable array; returns trimmed view.
@@ -447,11 +491,60 @@ def power(base, e, one):
     return out
 
 
-# Shorter-operand length from which products with all coefficients in F_p
-# use _kron_conv.  Measured over F_3, F_5, F_7: np.convolve is faster below
-# about 220 coefficients, the two are within 20 % up to 300, and from 300 on
-# Kronecker substitution is 1.3 to 2.7 times faster on every shape tried.
-_KRON_MIN_LEN = 300
+# When products with all coefficients in F_p use _kron_conv (`_kron_pays`).
+# Time of _kron_conv over np.convolve, median of three best-of-11 runs on
+# one 2-core Xeon host, equal to within 0.02 over F_3, F_5 and F_7 (2-byte
+# slots), shorter x longer operand:
+#
+#     100x1000  1.06    150x150  1.36    200x200  1.10    250x250   0.93
+#     150x300   1.08    150x600  0.91    200x400  0.92    250x2500  0.66
+#     200x2000  0.72    300x300  0.80    400x400  0.65    1000x1000 0.38
+#
+# So Kronecker substitution wins once the shorter has 150 coefficients and
+# the lengths multiply to 250^2.  Wider slots make the integer product
+# dearer, and the switch moves up by s = 2^(w - 2) for w-byte slots: over
+# F_257 (4 bytes, s = 4) 1.24 at 400x400, 0.82 at 1000x1000 and 0.79 at
+# 1000x8000; over F_65521 (6 bytes, s = 16) 1.36 at 1000x1000, 1.07 at
+# 2000x2000, 1.39 at 1000x8000 and 0.70 at 4000x4000.
+_KRON_MIN_LEN = 250
+_KRON_MIN_SHORT = 150
+
+# Quotient length from which `Fq.arr_divmod` divides by a Newton inverse.
+# Time of the Newton path, inverse included, over the loop of
+# `arr_mod_inplace`, best of 9, two runs on the host above, divisor length x
+# quotient length:
+#
+#                64x64      96x96      128x128    256x256    400x400
+#     F_3        1.20-1.29  1.23-1.28  0.83-0.94  0.73-0.75  0.65-0.68
+#     F_5        1.06-1.12  0.92-0.95  0.78-0.82  0.52-0.61  0.61-0.62
+#     F_7        1.00-1.05  0.83-0.88  0.71-1.23  0.58-0.60  0.53-0.55
+#     F_65521    0.62-0.82  0.70-0.95  0.58       0.44-0.50  0.55-0.68
+#     F_512      0.42-0.46  0.49-0.50  0.44       0.28-0.45  0.49-0.54
+#
+#                2x64       2x128      1000x64    1000x128   1000x256
+#     F_3        0.81       0.48-0.55  1.11-1.12  0.94-0.95  0.71-0.76
+#     F_5        0.63-0.68  0.44       1.17-1.18  0.72-0.80  0.68-0.73
+#     F_7        0.62-0.63  0.40       1.01-1.02  0.72-0.74  0.57-0.59
+#     F_65521    0.57       0.36       0.82-0.85  0.64       0.56-0.57
+#
+# The quotient length decides: the loop pays one step per quotient
+# coefficient, whatever the divisor.  Over F_4, F_9 and F_25, where a
+# product splits digits and reduces by the modulus while a loop step is two
+# table lookups, Newton is 1.3-2.4 times slower at 128x128 and breaks even
+# near 256x256 (0.8-0.9 at 400x400); no workload divides polynomials that
+# long over those fields.
+_NEWTON_MIN_LEN = 128
+
+
+def _kron_pays(na, nb, p):
+    """True when an F_p product of operands of lengths na and nb takes
+    `_kron_conv`: the shorter has at least _KRON_MIN_SHORT * s
+    coefficients and the lengths multiply to at least (_KRON_MIN_LEN * s)^2,
+    where s = 2^(w - 2) grows with the slot width of w >= 2 bytes."""
+    short = min(na, nb)
+    w = ((short * (p - 1) ** 2).bit_length() + 7) // 8
+    s = 1 << max(w - 2, 0)
+    return short >= _KRON_MIN_SHORT * s and na * nb >= (_KRON_MIN_LEN * s) ** 2
 
 
 def _kron_conv(da, db, p):
@@ -751,21 +844,37 @@ def primitive_numerators(fq, rats):
     """The primitive vector of A^n on the Q-line through `rats`.
 
     Each r becomes r.num * (L // r.den) for the common denominator L, and
-    the results are divided by their content, their monic gcd; all of these
-    divisions are exact.  The result is `rats` times a nonzero element of Q
-    (all zero when `rats` is).
+    the results are divided by their content, their monic gcd.  The content
+    starts as the gcd of the two lowest-degree nonzero numerators (the monic
+    numerator when there is one), which is a multiple of the true content;
+    one pass divides every numerator by it, sharing one inverse
+    (`Fq.arr_divmod`).  A nonzero remainder r of some n replaces the content
+    by gcd(content, r) = gcd(content, n), still a multiple of the true
+    content and of lower degree, and the pass restarts; a pass without
+    remainders ends at the true content.  The result is `rats` times a
+    nonzero element of Q (all zero when `rats` is).
     """
     nums, _ = cleared_numerators(fq, rats)
-    content = None
-    for n in nums:
-        if n.is_zero():
-            continue
-        content = n.monic() if content is None else content.gcd(n)
-        if content.is_one():
-            return nums
-    if content is None:
+    order = sorted((i for i, n in enumerate(nums) if n),
+                   key=lambda i: len(nums[i]._c))
+    if not order:
         return nums
-    return [n // content for n in nums]
+    first = nums[order[0]]
+    content = first.monic() if len(order) == 1 else first.gcd(nums[order[1]])
+    while not content.is_one():
+        b = content._c
+        k = len(nums[order[-1]]._c) - len(b) + 1
+        inverse = fq.arr_rev_inverse(b, k) if k >= _NEWTON_MIN_LEN else None
+        out = list(nums)
+        for i in order:
+            quo, rem = fq.arr_divmod(nums[i]._c, b, inverse)
+            if len(rem):
+                content = content.gcd(PolyA(fq, rem))
+                break
+            out[i] = PolyA(fq, quo)
+        else:
+            return out
+    return nums
 
 
 class RatFunc:

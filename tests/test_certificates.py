@@ -19,7 +19,7 @@ from dforge.drinfeld import (
 )
 from dforge.errors import CMSuspected, InternalInconsistency
 from dforge.extfield import ExtField, GaloisDatum
-from dforge.fields import RatFunc, ResidueField
+from dforge.fields import RatFunc, ResidueField, is_irreducible
 from dforge.randgen import (
     random_ext_elem,
     random_fq_poly,
@@ -28,7 +28,7 @@ from dforge.randgen import (
 )
 from dforge.skew import SkewPoly
 
-from helpers import quadratic_field, rational_field
+from helpers import brute_force_linear_factors, quadratic_field, rational_field
 
 
 def example35_modules(q):
@@ -262,6 +262,34 @@ def test_prime_dividing_the_lead_is_skipped():
     dimension, primes = _modular_dimension(K, [scaled, t2], 2, 6)
     assert primes[0] == (P, "skipped")
     assert primes[-1][1] == "lucky" and dimension == 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_root_screen_drops_only_reducible_candidates(q):
+    p, d = _prime_power(q)
+    fq = rational_field(p, _find_modulus(p, d) if d > 1 else None).fq
+    rng = random.Random(q)
+    polys = [random_fq_poly(rng, fq, 4, monic=True) for _ in range(150)]
+    for P in polys + [fq.poly_T(), fq.poly([1, 1])]:
+        roots = P.degree >= 1 and brute_force_linear_factors(P)
+        assert drinfeld._has_root(P) == (P.degree >= 2 and bool(roots)), P
+        if drinfeld._has_root(P):
+            assert not is_irreducible(P)
+
+
+def test_root_screen_keeps_the_recorded_primes(monkeypatch):
+    # reducible candidates are dropped unrecorded, whichever test finds them
+    Q3 = rational_field(3)
+    rng = random.Random(1)
+    cases = [(phi.field, tails_of(phi, 2), 6)
+             for q in (5, 9) for phi in example35_modules(q)]
+    cases += [(Q3, tails_of(rotation_pair(rng, Q3, shift=i)[0], 2), 3)
+              for i in range(3)]
+    for K, tails, degree in cases:
+        screened = _modular_dimension(K, tails, 2, degree)
+        with monkeypatch.context() as m:
+            m.setattr(drinfeld, "_has_root", lambda P: False)
+            assert _modular_dimension(K, tails, 2, degree) == screened
 
 
 def test_forced_unlucky_primes_fall_back_to_the_exact_path():

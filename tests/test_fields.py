@@ -20,12 +20,16 @@ from dforge.errors import (
 from dforge.extfield import ExtField, GaloisDatum
 from dforge.fields import (
     _KRON_MIN_LEN,
+    _KRON_MIN_SHORT,
+    _NEWTON_MIN_LEN,
     Fq,
     PolyA,
     RatFunc,
     ResidueField,
     _kron_conv,
+    _kron_pays,
     _trim,
+    cleared_numerators,
     is_irreducible,
     primitive_numerators,
 )
@@ -151,6 +155,60 @@ def test_primitive_numerators_cases():
     assert primitive_numerators(F3, [F3.rat_zero] * 2) == [F3.poly_zero] * 2
 
 
+def _reference_primitive(fq, rats):
+    """The input-order gcd fold of the cleared numerators, then division."""
+    nums, _ = cleared_numerators(fq, rats)
+    content = None
+    for n in nums:
+        if n:
+            content = n.monic() if content is None else content.gcd(n)
+    if content is None or content.is_one():
+        return nums
+    return [n // content for n in nums]
+
+
+@pytest.mark.parametrize("fq", [F3, F9, get_fq(65521)],
+                         ids=lambda f: f"q{f.q}")
+def test_primitive_numerators_against_the_reference_fold(fq, monkeypatch):
+    rng = random.Random(fq.q)
+    T = fq.poly_T()
+    one = fq.poly_one
+
+    def rand(n):
+        """A polynomial of degree exactly n."""
+        return fq.poly([fq.elem_packed(rng.randrange(fq.q)) for _ in range(n)]
+                       + [fq.elem_packed(rng.randrange(1, fq.q))])
+
+    # a content of degree 140, long enough for the Newton division
+    content = (T + one) ** 50 * (T * T + one) ** 30 * (T - one) ** 30
+    den = rand(3) * rand(2) + one
+    cofactors = [rand(n) for n in (140, 10, 300, 60, 200)]
+    planted = [RatFunc.make(content * u, den) for u in cofactors]
+    # the two lowest-degree numerators share a factor the others lack
+    extra = T ** 7 + T + one
+    shared = [RatFunc.from_poly(content * extra * rand(n)) for n in (5, 8)]
+    shared += [RatFunc.from_poly(content * u) for u in cofactors[2:]]
+    cases = [
+        planted,
+        planted[:2] + [fq.rat_zero] + planted[2:] + [fq.rat_zero],
+        [RatFunc.from_poly(u) for u in cofactors + [T, T + one]],  # content 1
+        [fq.rat_zero, planted[3], fq.rat_zero],  # a single nonzero entry
+        [fq.rat_zero] * 3,
+        shared,
+        [RatFunc.from_poly(content)] * 2,
+    ]
+    for rats in cases:
+        want = _reference_primitive(fq, rats)
+        gcds, gcd = [], PolyA.gcd
+        with monkeypatch.context() as m:
+            m.setattr(PolyA, "gcd", lambda a, b: gcds.append(b) or gcd(a, b))
+            got = primitive_numerators(fq, rats)
+        assert got == want
+        if rats is shared:
+            # the pass that divides by content * extra restarts
+            assert len(gcds) >= 2
+
+
 def test_poly_mul_against_naive():
     rng = random.Random(5)
     for fq in (F3, F9, F4):
@@ -165,12 +223,20 @@ KRON_FIELDS = [
     get_fq(2, (1, 1, 0, 1)),   # F_8
     get_fq(3, (1, 2, 0, 1)),   # F_27
 ]
+# Both sides of the balanced switch, then of the unbalanced one: a shorter
+# operand below _KRON_MIN_SHORT, and lengths whose product falls just short
+# of, or reaches, _KRON_MIN_LEN^2.
+_KRON_AREA_LEN = -(-_KRON_MIN_LEN ** 2 // _KRON_MIN_SHORT)
 KRON_SHAPES = [
     (1, 1),
     (_KRON_MIN_LEN - 1, _KRON_MIN_LEN - 1),
     (_KRON_MIN_LEN, _KRON_MIN_LEN),
     (5000, 300),
     (20000, 5000),
+    (2000, _KRON_MIN_SHORT - 1),
+    (_KRON_AREA_LEN - 1, _KRON_MIN_SHORT),
+    (_KRON_AREA_LEN, _KRON_MIN_SHORT),
+    (2000, 200),
 ]
 
 
@@ -237,6 +303,19 @@ def test_arr_mul_against_schoolbook(fq):
             want = _schoolbook_mul(fq, x, y, digtab, multab)
             assert np.array_equal(fq.arr_mul(x, y), want), (fq, na, nb)
             assert np.array_equal(fq.arr_mul(y, x), want), (fq, nb, na)
+
+
+def test_kron_switch_follows_both_lengths_and_the_slot_width():
+    m, short, area = _KRON_MIN_LEN, _KRON_MIN_SHORT, _KRON_AREA_LEN
+    for p in (2, 3, 5, 7):
+        assert _kron_pays(m, m, p) and not _kron_pays(m - 1, m - 1, p)
+        assert _kron_pays(short, area, p)
+        assert not _kron_pays(short, area - 1, p)
+        assert not _kron_pays(short - 1, 10 ** 6, p)
+    # 6-byte slots over F_65521: both thresholds move up 16-fold
+    assert not _kron_pays(16 * m - 1, 16 * m - 1, 65521)
+    assert _kron_pays(16 * m, 16 * m, 65521)
+    assert not _kron_pays(1000, 10 ** 5, 65521)
 
 
 @pytest.mark.parametrize("p,ha,hb",
@@ -708,6 +787,43 @@ def test_divmod_against_digit_reference(fq):
                 multiple[i: i + m] = ref.axpy(multiple[i: i + m], int(c), b)
             quo, rem = divmod(PolyA(fq, np.array(multiple)), PolyA(fq, b))
             assert quo.array.tolist() == cofactor.tolist() and rem.is_zero(), (n, m)
+
+
+# (divisor length, quotient length) on both sides of the Newton switch,
+# which looks at the quotient alone, and a 400-coefficient divisor into an
+# 800-coefficient dividend
+NEWTON_SHAPES = [
+    (_NEWTON_MIN_LEN, _NEWTON_MIN_LEN - 1),
+    (2, _NEWTON_MIN_LEN),
+    (_NEWTON_MIN_LEN, _NEWTON_MIN_LEN),
+    (_NEWTON_MIN_LEN - 1, _NEWTON_MIN_LEN + 1),
+    (400, 401),
+]
+
+
+@pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_newton_divmod_against_digit_reference(fq):
+    ref = _ReferenceVectors(fq)
+    rng = np.random.default_rng(fq.q + 3)
+    for nb, k in NEWTON_SHAPES:
+        a, b = _random_vector(rng, fq, nb + k - 1), _random_vector(rng, fq, nb)
+        b[-1] = rng.integers(2, fq.q)  # not monic
+        if fq.d > 1 and fq.q > 256:
+            # the digit reference takes about 0.1 ms a product over F_512:
+            # 16 divisor values bound the number of distinct products
+            b[:-1] = rng.choice(rng.integers(0, fq.q, 16), nb - 1)
+        want = ref.divmod(a, b)
+        quo, rem = divmod(PolyA(fq, a), PolyA(fq, b))
+        assert (quo.array.tolist(), rem.array.tolist()) == want, (nb, k)
+        # an inverse to a higher precision, as primitive_numerators shares it
+        inverse = fq.arr_rev_inverse(b, k + 7)
+        quo, rem = fq.arr_divmod(a, b, inverse)
+        assert (quo.tolist(), _trim(rem).tolist()) == want, (nb, k)
+        # a multiple of b: the remainder cancels to zero
+        cofactor = _random_vector(rng, fq, k)
+        quo, rem = divmod(PolyA(fq, b) * PolyA(fq, cofactor), PolyA(fq, b))
+        assert quo.array.tolist() == cofactor.tolist(), (nb, k)
+        assert rem.is_zero(), (nb, k)
 
 
 @pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
