@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from .errors import AlgebraError, EvenCharacteristic, ParseError
 from .extfield import ExtField, GaloisDatum
-from .fields import Fq, is_irreducible
+from .fields import Fq, is_irreducible, split_prime_power
 from .drinfeld import CertificateCache, conjugate_module, j_invariant, make_module
 from .ideals import IdealA
 from .isogeny import (
@@ -262,10 +262,13 @@ def cmd_star_orbit(ctx):
 
 def cmd_example35(q):
     """Build the worked example over F_q, run every check, and classify."""
-    p, d = _prime_power(q)
+    try:
+        p, _ = split_prime_power(q)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if p == 2:
         raise EvenCharacteristic("the example requires odd characteristic")
-    fq = Fq(p, _find_modulus(p, d))
+    fq = Fq.of_order(q)
     Tp1 = fq.rat(fq.poly([1, 1]))
     K = ExtField(fq, [-Tp1, fq.rat_zero, fq.rat_one])
     alpha = K.gen()
@@ -334,39 +337,6 @@ def cmd_example35(q):
         "m": {"s": ideal_to_text(T_ideal)},
         "all_pass": all(outcomes),
     }
-
-
-def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            d = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                d += 1
-            if n != 1:
-                raise ParseError(f"{q} is not a prime power")
-            return p, d
-    raise ParseError(f"{q} is not a prime power")
-
-
-def _find_modulus(p, d):
-    if d == 1:
-        return None
-    fp = Fq(p)
-    # deterministic scan over monic candidates
-    total = p ** d
-    for packed in range(total):
-        coeffs = []
-        v = packed
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        cand = coeffs + [1]
-        probe = fp.poly(cand)
-        if is_irreducible(probe):
-            return cand
-    raise ParseError(f"no irreducible modulus of degree {d} over F_{p}")
 
 
 _COMMANDS = {

@@ -261,18 +261,14 @@ def _pseudo_right_mod(a, b):
     field = a.field
     m = b.deg
     lead = b.lead()
-    lead_frobs = {0: lead}
+    lead_frobs = [lead]
+    for _ in range(a.deg - m):
+        lead_frobs.append(lead_frobs[-1].frob())
     while a.deg >= m:
         k = a.deg - m
-        if k not in lead_frobs:
-            prev = max(lead_frobs)
-            cur = lead_frobs[prev]
-            for step in range(prev + 1, k + 1):
-                cur = cur.frob()
-                lead_frobs[step] = cur
-        blf = lead_frobs[k]
         top = a.lead()
-        a = a.scale_left(blf) - (SkewPoly(field, (field.zero,) * k + (top,)) * b)
+        a = (a.scale_left(lead_frobs[k])
+             - SkewPoly(field, (field.zero,) * k + (top,)) * b)
     return a
 
 

@@ -23,6 +23,8 @@ Matrices over F_q multiply the same way, by integer products of F_p digits
 """
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .errors import DivisionByZero, FieldMismatch
@@ -30,15 +32,39 @@ from .errors import DivisionByZero, FieldMismatch
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+# the largest q served by the log/exp tables of `Fq`
+_MAX_ORDER = 65536
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division; none
+    for n < 2."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def split_prime_power(q):
+    """(p, d) with q = p^d, for a prime power q <= 65,536; ValueError,
+    naming q, for any other q."""
+    if q > _MAX_ORDER:
+        raise ValueError(f"q = {q} exceeds the table limit {_MAX_ORDER}")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, d = primes[0], 0
+    while q > 1:
+        q //= p
+        d += 1
+    return p, d
 
 
 def is_irreducible(f):
@@ -57,19 +83,23 @@ class Fq:
     """
 
     def __init__(self, p, modulus=None):
-        if not _is_prime(p):
+        modulus = (0, 1) if modulus is None else tuple(map(int, modulus))
+        if len(modulus) < 2:
+            raise ValueError("modulus must be monic of degree >= 1")
+        d = len(modulus) - 1
+        # the limit first: it bounds the trial divisions below
+        if p > _MAX_ORDER or p ** d > _MAX_ORDER:
+            raise ValueError(f"field of order {p}^{d} too large for "
+                             f"table-based arithmetic (limit {_MAX_ORDER})")
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
-        if modulus is None:
-            modulus = (0, 1)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) < 2 or modulus[-1] != 1:
+        modulus = tuple(c % p for c in modulus)
+        if modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
-        self.d = len(modulus) - 1
-        self.q = p ** self.d
+        self.d = d
+        self.q = p ** d
         self.modulus = modulus
-        if self.q > 65536:
-            raise ValueError("field too large for table-based arithmetic")
         # rows y^k mod modulus for k < 2d - 1, as F_p digit vectors
         self._red = np.ones((1, 1), dtype=np.int64)
         if self.d > 1:
@@ -85,6 +115,21 @@ class Fq:
         self.poly_one = PolyA(self, np.array([1], dtype=np.int64))
         self.rat_one = RatFunc(self, self.poly_one, self.poly_one)
         self.rat_zero = RatFunc(self, self.poly_zero, self.poly_one)
+
+    @classmethod
+    def of_order(cls, q):
+        """F_q for a prime power q <= 65,536 (ValueError otherwise), defined
+        by the first monic irreducible of degree d whose low coefficients,
+        read as base-p digits, count up from 0."""
+        p, d = split_prime_power(q)
+        fp = cls(p)
+        if d == 1:
+            return fp
+        # every degree has a monic irreducible, so the scan returns
+        for digits in product(range(p), repeat=d):
+            modulus = digits[::-1] + (1,)
+            if is_irreducible(fp.poly(modulus)):
+                return cls(p, modulus)
 
     def __repr__(self):
         return f"Fq(p={self.p}, d={self.d})"
@@ -104,17 +149,7 @@ class Fq:
         q = self.q
         # find a multiplicative generator by trial
         order = q - 1
-        factors = []
-        n = order
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                factors.append(f)
-                while n % f == 0:
-                    n //= f
-            f += 1
-        if n > 1:
-            factors.append(n)
+        factors = _prime_factors(order)
         if self.d == 1:
             # integers mod p: one multiplication and reduction per step
             def power(a, e):
@@ -1114,11 +1149,10 @@ class ResidueField:
             images.append(images[-1].frob())
         if images[n] != T:
             return False
-        for r in range(2, n + 1):
-            if n % r == 0 and _is_prime(r):
-                diff = PolyA(self.fq, _trim((images[n // r] - T).vec))
-                if not diff.gcd(self.P).is_one():
-                    return False
+        for r in _prime_factors(n):
+            diff = PolyA(self.fq, _trim((images[n // r] - T).vec))
+            if not diff.gcd(self.P).is_one():
+                return False
         return True
 
     def __repr__(self):

@@ -67,9 +67,9 @@ class IdealA:
             raise ZeroIdeal("inexact ideal quotient")
         return IdealA(q)
 
-    def factors(self, rng=None):
+    def factors(self):
         if self._factors is None:
-            self._factors = factor_ideal(self, rng)
+            self._factors = factor_ideal(self)
         return self._factors
 
     def valuation(self, p):
@@ -86,8 +86,8 @@ class IdealA:
                 return k
             k, rest = k + 1, quo
 
-    def is_square_free(self, rng=None):
-        return all(m == 1 for _, m in self.factors(rng))
+    def is_square_free(self):
+        return all(m == 1 for _, m in self.factors())
 
     def __repr__(self):
         return f"({poly_to_text(self.gen)})"
@@ -233,7 +233,7 @@ def factor_ideal(n, rng=None):
     return out
 
 
-def divisors_in_degree_order(f, rng=None, cap=None):
+def divisors_in_degree_order(f, cap=None):
     """Yield the monic divisors of f in nondecreasing degree, lazily.
 
     Heap walk over the exponent lattice of the factorization; only popped
@@ -244,7 +244,7 @@ def divisors_in_degree_order(f, rng=None, cap=None):
     if f.is_zero():
         raise ZeroPolynomial("divisors of zero requested")
     field = f.field
-    facs = factor_ideal(IdealA(f), rng)
+    facs = factor_ideal(IdealA(f))
     total = 1
     for _, mult in facs:
         total *= mult + 1
@@ -268,7 +268,7 @@ def divisors_in_degree_order(f, rng=None, cap=None):
                     )
 
 
-def coprime_fractions(trailing, leading, budget=None, cap=None, rng=None):
+def coprime_fractions(trailing, leading, budget=None, cap=None):
     """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
 
     These are the candidates u/v of the rational root theorem over the PID
@@ -278,8 +278,8 @@ def coprime_fractions(trailing, leading, budget=None, cap=None, rng=None):
     divisors beyond the frontier.  Popping more than `budget` pairs,
     coprime or not, raises BudgetExceeded; `cap` bounds each divisor set.
     """
-    u_gen = divisors_in_degree_order(trailing, rng, cap)
-    v_gen = divisors_in_degree_order(leading, rng, cap)
+    u_gen = divisors_in_degree_order(trailing, cap)
+    v_gen = divisors_in_degree_order(leading, cap)
     u_cache = []
     v_cache = []
 
@@ -313,7 +313,7 @@ def coprime_fractions(trailing, leading, budget=None, cap=None, rng=None):
             yield u, v
 
 
-def rational_roots(coeffs, rng=None):
+def rational_roots(coeffs):
     """All roots in Q of a nonzero polynomial with coefficients in Q.
 
     Clears denominators to a primitive polynomial over A and tests each
@@ -346,8 +346,7 @@ def rational_roots(coeffs, rng=None):
         return acc
 
     units = [field.elem_packed(xi) for xi in range(1, field.q)]
-    for u, v in coprime_fractions(cleared[0], cleared[-1], cap=_DIVISOR_CAP,
-                                  rng=rng):
+    for u, v in coprime_fractions(cleared[0], cleared[-1], cap=_DIVISOR_CAP):
         for xi in units:
             cand = RatFunc(field, u.scale(xi), v)
             if horner(cand).is_zero():

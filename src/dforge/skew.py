@@ -196,23 +196,17 @@ def right_divmod(a, b):
     quo = [field.zero] * (a.deg - m + 1)
     # step k needs b's coefficients below the lead and 1/lead raised to
     # q^k; Frobenius is a ring map, so (1/lead)^(q^k) = 1/lead^(q^k) and
-    # one inversion serves every step
-    frobs = {0: (b.coeffs[:m], b.lead().inverse())}
-
-    def b_frob(k):
-        if k not in frobs:
-            prev = max(frobs)
-            row, inv = frobs[prev]
-            for step in range(prev + 1, k + 1):
-                row, inv = [c.frob() for c in row], inv.frob()
-                frobs[step] = row, inv
-        return frobs[k]
-
+    # one inversion serves every step; the top step always runs (a's lead
+    # is nonzero), so every rung of the ladder would be built anyway
+    frobs = [(b.coeffs[:m], b.lead().inverse())]
+    for _ in range(a.deg - m):
+        row, inv = frobs[-1]
+        frobs.append(([c.frob() for c in row], inv.frob()))
     for k in range(a.deg - m, -1, -1):
         top = rem[k + m]
         if top.is_zero():
             continue
-        row, inv = b_frob(k)
+        row, inv = frobs[k]
         qc = top * inv
         quo[k] = qc
         for j, c in enumerate(row):

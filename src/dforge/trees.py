@@ -102,10 +102,7 @@ def validate_orbit(datum):
                     raise AsymmetricMatrix("matrix is not symmetric")
                 if mat[i][j] < 0:
                     raise NotTreeMetric("negative distance")
-        for name in datum.group.names:
-            perm = datum.group.label_permutation(
-                datum.group.generator_element(name)
-            )
+        for name, _, perm in datum.group.generators:
             for i in range(k):
                 for j in range(k):
                     if mat[perm[i]][perm[j]] != mat[i][j]:
@@ -270,8 +267,7 @@ def reconstruct_subtree(datum, p):
     for v in range(len(adj)):
         vec_index[tuple(dists[c][v] for c in range(nc))] = v
     actions = {}
-    for name in datum.group.names:
-        perm = datum.group.label_permutation(datum.group.generator_element(name))
+    for name, _, perm in datum.group.generators:
         cls_perm = [None] * nc
         for i in range(k):
             src = label_class[i]
@@ -461,7 +457,7 @@ def minimality_check(datum, result):
     return report
 
 
-def orbit_from_isogenies(conjugates, isogenies, galois, rng=None):
+def orbit_from_isogenies(conjugates, isogenies, galois):
     """Build an OrbitDatum from concrete modules and primitive isogenies.
 
     `isogenies` maps ordered index pairs (i, j) to isogenies conjugates[i]
@@ -502,7 +498,7 @@ def orbit_from_isogenies(conjugates, isogenies, galois, rng=None):
             degs[(i, j)] = use.degree_ideal()
     support = set()
     for d in degs.values():
-        for prime, _ in d.factors(rng):
+        for prime, _ in d.factors():
             support.add(prime)
     metrics = {}
     for p in sorted(support, key=lambda q: (q.degree, repr(q))):

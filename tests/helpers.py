@@ -7,10 +7,28 @@ and AHU canonical hashing.
 from __future__ import annotations
 
 import random
+import signal
 from collections import deque
+from contextlib import contextmanager
 
 from dforge.extfield import ExtField
 from dforge.fields import Fq
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once it has run for `seconds`, so a
+    loop that would hang fails the test instead (SIGALRM, main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- field fixtures -----------------------------------------------------------

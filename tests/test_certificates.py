@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dforge import drinfeld
-from dforge.cli import _find_modulus, _prime_power
 from dforge.drinfeld import (
     _exact_dimension,
     _kernel_dimension,
@@ -19,7 +18,7 @@ from dforge.drinfeld import (
 )
 from dforge.errors import CMSuspected, InternalInconsistency
 from dforge.extfield import ExtField, GaloisDatum
-from dforge.fields import RatFunc, ResidueField, is_irreducible
+from dforge.fields import Fq, RatFunc, ResidueField, is_irreducible
 from dforge.randgen import (
     random_ext_elem,
     random_fq_poly,
@@ -31,11 +30,17 @@ from dforge.skew import SkewPoly
 from helpers import brute_force_linear_factors, quadratic_field, rational_field
 
 
+def field_of_order(q):
+    """(p, modulus) of F_q as `dforge example35` builds it, for the field
+    caches of `helpers`."""
+    fq = Fq.of_order(q)
+    return fq.p, fq.modulus if fq.d > 1 else None
+
+
 def example35_modules(q):
     """(phi, s(phi)) of the worked example: phi_T = mu eta over
     F_q(T)(sqrt(T + 1)), as `dforge example35` builds them."""
-    p, d = _prime_power(q)
-    K = quadratic_field(p, _find_modulus(p, d) if d > 1 else None)
+    K = quadratic_field(*field_of_order(q))
     alpha, one = K.gen(), K.one
     mu = SkewPoly(K, (alpha + one, -one))
     eta = SkewPoly(K, (alpha - one, one))
@@ -266,8 +271,7 @@ def test_prime_dividing_the_lead_is_skipped():
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_root_screen_drops_only_reducible_candidates(q):
-    p, d = _prime_power(q)
-    fq = rational_field(p, _find_modulus(p, d) if d > 1 else None).fq
+    fq = rational_field(*field_of_order(q)).fq
     rng = random.Random(q)
     polys = [random_fq_poly(rng, fq, 4, monic=True) for _ in range(150)]
     for P in polys + [fq.poly_T(), fq.poly([1, 1])]:

@@ -24,7 +24,7 @@ from dforge.textform import (
 )
 from dforge.errors import EvenCharacteristic, ParseError
 
-from helpers import get_fq, quadratic_field, rational_field
+from helpers import deadline, get_fq, quadratic_field, rational_field
 
 F3 = get_fq(3)
 K3 = quadratic_field(3)
@@ -365,6 +365,39 @@ def test_cmd_example35_in_process():
         assert report["m"]["s"] == level
     with pytest.raises(EvenCharacteristic):
         cmd_example35(4)
+
+
+@pytest.mark.parametrize("q,code,message", [
+    ("0", 1, "parse error: q = 0 is not a prime power"),
+    ("1", 1, "parse error: q = 1 is not a prime power"),
+    ("6", 1, "parse error: q = 6 is not a prime power"),
+    ("65537", 1, "parse error: q = 65537 exceeds the table limit"),
+    ("4294967291", 1, "parse error: q = 4294967291 exceeds the table limit"),
+    ("2305843009213693951", 1,
+     "parse error: q = 2305843009213693951 exceeds the table limit"),
+    ("4", 2, "domain error: EvenCharacteristic"),
+    ("65536", 2, "domain error: EvenCharacteristic"),
+])
+def test_example35_refuses_q_before_building_the_field(monkeypatch, capsys,
+                                                        q, code, message):
+    def no_field(cls, order):
+        raise AssertionError(f"F_{order} was built for a refused q")
+
+    monkeypatch.setattr(Fq, "of_order", classmethod(no_field))
+    with deadline(1.0):
+        assert main(["example35", "--q", q]) == code
+    out = capsys.readouterr()
+    assert message in out.err and out.out == ""
+
+
+def test_huge_characteristic_in_a_document_is_a_parse_error(tmp_path, capsys):
+    doc = example_doc()
+    doc["field"]["p"] = 2305843009213693951
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    with deadline(1.0):
+        assert main(["verify", "--in", str(path)]) == 1
+    assert "too large for table-based arithmetic" in capsys.readouterr().err
 
 
 def test_cli_example35_subprocess(tmp_path):

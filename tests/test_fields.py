@@ -28,10 +28,12 @@ from dforge.fields import (
     ResidueField,
     _kron_conv,
     _kron_pays,
+    _prime_factors,
     _trim,
     cleared_numerators,
     is_irreducible,
     primitive_numerators,
+    split_prime_power,
 )
 from dforge.ideals import (
     IdealA,
@@ -44,6 +46,7 @@ from dforge.skew import SkewPoly
 
 from helpers import (
     brute_force_linear_factors,
+    deadline,
     get_fq,
     naive_poly_mul,
     quadratic_field,
@@ -241,25 +244,34 @@ KRON_SHAPES = [
 
 
 def _reference_ops(fq):
-    """F_p digits, packing, and the product of F_q from the modulus alone."""
+    """F_p digits and packing of numpy arrays of packed values, and the
+    products x y_i of a packed scalar x, from the modulus alone."""
     p, d, mod = fq.p, fq.d, fq.modulus
+    powers = p ** np.arange(d, dtype=np.int64)
+
+    def reduced(k):
+        # the digits of y^k mod the modulus, by top-down long division
+        v = [0] * (2 * d - 1)
+        v[k] = 1
+        for top in range(2 * d - 2, d - 1, -1):
+            c = v[top]
+            for i, m in enumerate(mod):
+                v[top - d + i] -= c * m
+        return [c % p for c in v[:d]]
+
+    # the digit product u_i v_j lands on y^(i + j)
+    place = np.array([[reduced(i + j) for j in range(d)] for i in range(d)],
+                     dtype=np.int64)
 
     def digits(v):
-        return [(v // p ** i) % p for i in range(d)]
+        return np.asarray(v, dtype=np.int64)[..., None] // powers % p
 
     def pack(ds):
-        return sum((c % p) * p ** i for i, c in enumerate(ds))
+        return ds % p @ powers
 
     def mul(x, y):
-        prod = [0] * (2 * d - 1)
-        for i, u in enumerate(digits(x)):
-            for j, v in enumerate(digits(y)):
-                prod[i + j] += u * v
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            for i, m in enumerate(mod):
-                prod[k - d + i] -= c * m
-        return pack(prod[:d])
+        # row j of the matrix of x holds the digits of x y^j
+        return pack(digits(y) @ np.tensordot(digits(x), place, axes=1))
 
     return digits, pack, mul
 
@@ -267,10 +279,8 @@ def _reference_ops(fq):
 def _reference_tables(fq):
     """Digit and multiplication tables of F_q from digit arithmetic."""
     digits, _, mul = _reference_ops(fq)
-    q = fq.q
-    digtab = np.array([digits(x) for x in range(q)])
-    multab = np.array([[mul(x, y) for y in range(q)] for x in range(q)])
-    return digtab, multab
+    values = np.arange(fq.q)
+    return digits(values), np.array([mul(x, values) for x in values])
 
 
 def _schoolbook_mul(fq, a, b, digtab, multab):
@@ -589,6 +599,73 @@ def test_fq_accepts_exactly_the_irreducible_moduli(p, d, count):
     assert accepted == count
 
 
+def test_prime_factors_against_divisor_scan():
+    for n in range(-3, 2000):
+        want = [f for f in range(2, n + 1)
+                if n % f == 0 and all(f % g for g in range(2, f))]
+        assert _prime_factors(n) == want, n
+
+
+@pytest.mark.parametrize("q,want", [(2, (2, 1)), (9, (3, 2)), (59049, (3, 10)),
+                                    (65521, (65521, 1)), (65536, (2, 16))])
+def test_split_prime_power(q, want):
+    assert split_prime_power(q) == want
+
+
+@pytest.mark.parametrize("q,message", [
+    (-9, "not a prime power"), (0, "not a prime power"),
+    (1, "not a prime power"), (6, "not a prime power"),
+    (65535, "not a prime power"), (65537, "exceeds the table limit"),
+    (2 ** 17, "exceeds the table limit"),
+    (4294967291, "exceeds the table limit"),
+    (2 ** 61 - 1, "exceeds the table limit"),
+])
+def test_split_prime_power_refuses(q, message):
+    with deadline(1.0), pytest.raises(ValueError, match=message) as info:
+        split_prime_power(q)
+    assert f"q = {q} " in str(info.value)
+
+
+@pytest.mark.parametrize("p,modulus,message", [
+    (2 ** 61 - 1, None, "too large"), (4294967291, None, "too large"),
+    (65537, None, "too large"), (257, (3, 0, 1), "too large"),
+    (2, (1,) * 17 + (1,), "too large"),
+    (4, None, "not prime"), (1, None, "not prime"), (0, None, "not prime"),
+    (-3, None, "not prime"), (3, (), "monic"), (3, (1, 2), "monic"),
+])
+def test_fq_refuses_before_any_primality_test(p, modulus, message):
+    # the size limit comes first, so no trial division runs on a huge p
+    with deadline(1.0), pytest.raises(ValueError, match=message):
+        Fq(p, modulus)
+
+
+def _scanned_modulus(p, d):
+    # the first monic irreducible of degree d whose low coefficients, read
+    # as base-p digits, count up from 0
+    fp = get_fq(p)
+    for packed in range(p ** d):
+        low = [packed // p ** i % p for i in range(d)]
+        if is_irreducible(fp.poly(low + [1])):
+            return tuple(low) + (1,)
+
+
+@pytest.mark.parametrize("q,p,d", [(4, 2, 2), (8, 2, 3), (9, 3, 2), (25, 5, 2),
+                                   (27, 3, 3), (49, 7, 2), (121, 11, 2),
+                                   (125, 5, 3)])
+def test_of_order_takes_the_first_modulus_of_the_scan(q, p, d):
+    fq = Fq.of_order(q)
+    assert (fq.p, fq.d, fq.q) == (p, d, q)
+    assert fq.modulus == _scanned_modulus(p, d)
+
+
+def test_of_order_of_a_prime_is_the_prime_field():
+    for p in (2, 3, 65521):
+        fq = Fq.of_order(p)
+        assert (fq.p, fq.d, fq.modulus) == (p, 1, (0, 1))
+    with pytest.raises(ValueError, match="q = 65537 exceeds"):
+        Fq.of_order(65537)
+
+
 @pytest.mark.parametrize("fq,n,count", [(F3, 1, 3), (F3, 4, 18), (F3, 6, 116),
                                         (F4, 3, 20), (F9, 2, 36),
                                         (get_fq(5), 3, 40)],
@@ -691,24 +768,15 @@ class _ReferenceVectors:
 
     def __init__(self, fq):
         self.q = fq.q
-        self.digits, self.pack, mul = _reference_ops(fq)
-        self.minus_one = self.pack([-1])
-        self._products = {}
-        self._mul = mul
-
-    def mul(self, x, y):
-        key = (x, y)
-        if key not in self._products:
-            self._products[key] = self._mul(x, y)
-        return self._products[key]
-
-    def add(self, x, y):
-        return self.pack([u + v for u, v in zip(self.digits(x), self.digits(y))])
+        self.minus_one = fq.p - 1  # packed -1: digit 0 is p - 1
+        self.digits, self.pack, self.mul = _reference_ops(fq)
 
     def axpy(self, x, c, y):
-        n = max(len(x), len(y))
-        x, y = list(x) + [0] * (n - len(x)), list(y) + [0] * (n - len(y))
-        return [self.add(u, self.mul(c, v)) for u, v in zip(x, y)]
+        dx, dy = self.digits(x), self.digits(self.mul(c, y))
+        out = np.zeros((max(len(dx), len(dy)), dx.shape[1]), dtype=np.int64)
+        out[: len(dx)] += dx
+        out[: len(dy)] += dy
+        return self.pack(out)
 
     def inverse(self, x):
         """x^(q-2) by square-and-multiply on the reference product."""
@@ -724,7 +792,7 @@ class _ReferenceVectors:
 
     def divmod(self, a, b):
         inv = self.inverse(b[-1])
-        r, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        r, quo = np.array(a, dtype=np.int64), [0] * max(len(a) - len(b) + 1, 0)
         for k in range(len(a) - len(b), -1, -1):
             quo[k] = self.mul(r[k + len(b) - 1], inv)
             r[k: k + len(b)] = self.axpy(r[k: k + len(b)], self.mul(self.minus_one, quo[k]), b)
@@ -753,7 +821,7 @@ def test_vector_kernels_against_digit_reference(fq):
         x, y = _random_vector(rng, fq, n), _random_vector(rng, fq, n)
         scalars = [0, 1, ref.minus_one, int(rng.integers(1, fq.q))]
         for c in scalars:
-            assert fq.arr_axpy(x, c, y).tolist() == ref.axpy(x, c, y), (n, c)
+            assert fq.arr_axpy(x, c, y).tolist() == ref.axpy(x, c, y).tolist(), (n, c)
         # x - x cancels to zero everywhere, and arr_axpy does not trim it
         assert fq.arr_axpy(x, ref.minus_one, x).tolist() == [0] * n
         short = y[: (n + 1) // 2]
@@ -809,8 +877,7 @@ def test_newton_divmod_against_digit_reference(fq):
         a, b = _random_vector(rng, fq, nb + k - 1), _random_vector(rng, fq, nb)
         b[-1] = rng.integers(2, fq.q)  # not monic
         if fq.d > 1 and fq.q > 256:
-            # the digit reference takes about 0.1 ms a product over F_512:
-            # 16 divisor values bound the number of distinct products
+            # over F_512 the lower divisor coefficients take 16 values
             b[:-1] = rng.choice(rng.integers(0, fq.q, 16), nb - 1)
         want = ref.divmod(a, b)
         quo, rem = divmod(PolyA(fq, a), PolyA(fq, b))
