@@ -759,7 +759,11 @@ class DescentCocycle:
                     raise CocycleViolation(f"cocycle relation fails at {s}, {t}")
 
 
-def descend_k_model(module, cocycle, rng=None, max_tries=64):
+# random thetas descend_k_model tries while the Poincare series vanishes
+_DESCENT_TRIES = 64
+
+
+def descend_k_model(module, cocycle, rng=None):
     """Produce a model with Galois-fixed coefficients (Hilbert 90, cyclic case).
 
     nu is built as the Poincare series sum_i nu_{s^i} s^i(theta) over the
@@ -787,7 +791,7 @@ def descend_k_model(module, cocycle, rng=None, max_tries=64):
     tries = 0
     while b.is_zero():
         tries += 1
-        if tries > max_tries:
+        if tries > _DESCENT_TRIES:
             raise InternalInconsistency("no nonzero Poincare series element found")
         fq = field.fq
         coords = [

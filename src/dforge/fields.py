@@ -12,6 +12,10 @@ division reduces lazily, with one `% p` at the end (`Fq.arr_mod_inplace`).
 A division with a long quotient multiplies by a Newton inverse of the
 reversed divisor instead (`Fq.arr_divmod`).
 Multiplication in F_q goes through discrete log/exp tables for every q.
+One construction builds them for every (p, d), d = 1 included: a product
+by h acts on F_p digit vectors as a d x d matrix, so the generator search
+and the exp table are vector-matrix products over F_p, the table in
+log2(q) doublings (`Fq._build_tables`).
 Products in F_q[T] are exact integer convolutions of F_p digits: short ones
 with all coefficients in F_p use np.convolve, all others go through
 Kronecker substitution into one Python integer product (`_kron_conv`); the
@@ -103,10 +107,11 @@ class Fq:
         # rows y^k mod modulus for k < 2d - 1, as F_p digit vectors
         self._red = np.ones((1, 1), dtype=np.int64)
         if self.d > 1:
-            mod = Fq(p).poly(modulus)
-            if not is_irreducible(mod):
+            fp = Fq(p)
+            residues = ResidueField(fp, fp.poly(modulus))
+            if not residues.is_field():
                 raise ValueError("modulus is reducible over F_p")
-            self._red = mod.field.arr_xpow_table(mod.array, 2 * self.d - 1)
+            self._red = residues._rows(2 * self.d - 1)
         self._pp = p ** np.arange(self.d, dtype=np.int64)
         self._build_tables()
         self.zero = FqElem(self, 0)
@@ -136,65 +141,46 @@ class Fq:
 
     # -- construction of the multiplication tables ---------------------------
 
-    def _digit_mul(self, a, b):
-        # multiply two packed scalars by digit convolution + reduction
-        p = self.p
-        da = (a // self._pp) % p
-        db = (b // self._pp) % p
-        conv = np.convolve(da, db) % p
-        digits = (conv @ self._red[: len(conv)]) % p
-        return int(digits @ self._pp)
-
     def _build_tables(self):
-        q = self.q
-        # find a multiplicative generator by trial
-        order = q - 1
-        factors = _prime_factors(order)
-        if self.d == 1:
-            # integers mod p: one multiplication and reduction per step
-            def power(a, e):
-                return pow(a, e, q)
+        """The log/exp tables of the first generator g of F_q^x among 2, 3,
+        ..., and for q <= 256 the addition and multiplication tables.
 
-            def times(a, b):
-                return a * b % q
-        else:
-            power, times = self._spow, self._digit_mul
-        gen = None
-        for cand in range(2, q):
-            if all(power(cand, order // f) != 1 for f in factors):
-                gen = cand
+        Multiplication by h acts on F_p digit vectors (rows) as the d x d
+        matrix whose row i holds the digits of y^i h: the digits of h times
+        the reduction rows y^(i + j) of `_red`.  With steps[k] the matrix of
+        g^(2^k), by squaring, each g^((q - 1)/r) is a product of steps, and
+        g generates when none of them is 1 (r prime, r | q - 1).  The exp
+        table is then (q - 2).bit_length() doublings: the powers g^0 ..
+        g^(2^k - 1) times steps[k] are the next 2^k powers.
+        """
+        p, d, q = self.p, self.d, self.q
+        order = q - 1
+        one = self._red[:1]  # the digits of y^0
+        span = np.arange(d)
+        shifted = self._red[span[:, None] + span]  # [i, j]: y^(i + j)
+        exponents = [order // r for r in _prime_factors(order)]
+        steps = []  # F_2^x = {1}: no step
+        for gen in range(2, q):
+            steps = [np.dot(gen // self._pp % p, shifted) % p]
+            while 1 << len(steps) < order:
+                steps.append(steps[-1] @ steps[-1] % p)
+            if all((_step_power(one, steps, e, p) != one).any()
+                   for e in exponents):
                 break
-        if gen is None:
-            gen = 1  # q = 2
-        vals = [1]
-        for _ in range(order - 1):
-            vals.append(times(vals[-1], gen))
-        exp = np.zeros(2 * max(order, 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        exp[:order] = vals
-        log[exp[:order]] = np.arange(order)
-        exp[order: 2 * order] = exp[:order]
-        self._exp = exp
-        self._log = log
+        powers = one
+        for step in steps:
+            powers = np.concatenate((powers, powers @ step % p))
+        vals = powers[:order] @ self._pp
+        self._exp = np.concatenate((vals, vals))
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[vals] = np.arange(order)
+        self._addtab = self._multab = None
         if q <= 256:
             vals = np.arange(q, dtype=np.int64)
             self._addtab = self._digit_add(vals[:, None], vals[None, :])
             self._multab = np.zeros((q, q), dtype=np.int64)
-            for i in range(1, q):
-                li = self._log[i]
-                self._multab[i, 1:] = self._exp[li + self._log[np.arange(1, q)]]
-        else:
-            self._addtab = None
-            self._multab = None
-
-    def _spow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._digit_mul(r, a)
-            a = self._digit_mul(a, a)
-            e >>= 1
-        return r
+            self._multab[1:, 1:] = self._exp[self._log[1:, None]
+                                             + self._log[None, 1:]]
 
     # -- packed scalar arithmetic --------------------------------------------
 
@@ -482,14 +468,18 @@ class Fq:
     def poly_T(self):
         return self.poly([0, 1])
 
-    def rat(self, num, den=None):
-        if isinstance(num, (list, tuple)):
-            num = self.poly(num)
-        if den is None:
-            return RatFunc.make(num, self.poly_one)
-        if isinstance(den, (list, tuple)):
-            den = self.poly(den)
-        return RatFunc.make(num, den)
+    def rat(self, num):
+        """The PolyA num as an element of Q = F_q(T)."""
+        return RatFunc.make(num, self.poly_one)
+
+
+def _step_power(row, steps, e, p):
+    """row times the matrix of g^e, where steps[k] is the matrix of g^(2^k)
+    over F_p and e < 2^len(steps)."""
+    for k, step in enumerate(steps):
+        if e >> k & 1:
+            row = row @ step % p
+    return row
 
 
 def _trim(arr):

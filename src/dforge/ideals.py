@@ -13,7 +13,7 @@ import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import PolyA, RatFunc, poly_to_text, primitive_numerators
+from .fields import RatFunc, poly_to_text, primitive_numerators
 
 _DEFAULT_SEED = 0xD4
 # monic divisor sets larger than this are refused with BudgetExceeded
@@ -207,12 +207,8 @@ def factor_ideal(n, rng=None):
     Returns [(IdealA prime, mult)] sorted by (degree, text); the product of
     gen^mult equals the generator exactly.
     """
-    if isinstance(n, PolyA):
-        n = IdealA(n)
     if rng is None:
         rng = random.Random(_DEFAULT_SEED)
-    elif isinstance(rng, int):
-        rng = random.Random(rng)
     gen = n.gen
     if gen.is_one():
         return []

@@ -98,9 +98,6 @@ class Isogeny:
         # cyclic and primitive agree for rank-two non-CM isogenies
         return self.is_cyclic()
 
-    def is_scalar(self):
-        return self.mu.deg == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, Isogeny)
@@ -152,12 +149,12 @@ def target_of(phi, mu):
                                       "kernel of mu is not T-stable"))
 
 
-def split_at(phi, mu, a):
-    """(part, mid): part = rgcd(mu, phi_a), whose kernel is Ker mu cap
-    phi[a], and mid = target_of(phi, part), so mu = cofactor * part with
-    the cofactor mid -> target.  A trivial part (the monic gcd 1) leaves
-    mid = phi."""
-    part = right_gcd(mu, phi_a(phi, a))
+def split_at(phi, mu, phi_a_value):
+    """(part, mid): part = rgcd(mu, phi_a) for phi_a_value = phi_a(phi, a),
+    whose kernel is Ker mu cap phi[a], and mid = target_of(phi, part), so
+    mu = cofactor * part with the cofactor mid -> target.  A trivial part
+    (the monic gcd 1) leaves mid = phi."""
+    part = right_gcd(mu, phi_a_value)
     return part, phi if part.deg == 0 else target_of(phi, part)
 
 
@@ -358,7 +355,7 @@ def project_p(iso, p, certificate_factory):
     if k == 0:
         one = SkewPoly.from_scalar(phi.field.one)
         return phi, verify_isogeny(phi, phi, one, iso.certificate), iso
-    mu_p, mid = split_at(phi, iso.mu, p.gen ** k)
+    mu_p, mid = split_at(phi, iso.mu, phi_a(phi, p.gen ** k))
     quo = exact_quotient(iso.mu, mu_p, "p-part does not right-divide mu",
                          InternalInconsistency)
     p_part = verify_isogeny(phi, mid, mu_p, iso.certificate)
@@ -393,7 +390,7 @@ def factor_prime_power(iso, certificate_factory):
             link = cur_mu
             tgt = iso.target
         else:
-            link, tgt = split_at(cur_src, cur_mu, p.gen)
+            link, tgt = split_at(cur_src, cur_mu, phi_a(cur_src, p.gen))
             cur_mu = exact_quotient(cur_mu, link, "p-kernel does not divide mu",
                                     InternalInconsistency)
         cert = (iso.certificate if step == 0

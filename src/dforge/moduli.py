@@ -144,8 +144,9 @@ def al_apply(w, x, certificate_factory):
         return x
     phi = iso.source
     a_m = w.m.gen
-    mu_m, phi_m = split_at(phi, iso.mu, a_m)
-    big = lclm(phi_a(phi, a_m), iso.mu)
+    phi_am = phi_a(phi, a_m)
+    mu_m, phi_m = split_at(phi, iso.mu, phi_am)
+    big = lclm(phi_am, iso.mu)
     eta = exact_quotient(big, mu_m, "kernel union is not divisible by the "
                          "m-part", InternalInconsistency)
     psi_m = target_of(phi_m, eta)
@@ -162,7 +163,7 @@ def diagram_closure_check(w, x, certificate_factory):
     iso = x.iso
     phi = iso.source
     a_m = w.m.gen
-    mu_m, phi_m = split_at(phi, iso.mu, a_m)
+    mu_m, phi_m = split_at(phi, iso.mu, phi_a(phi, a_m))
     if mu_m.deg == 0:
         return True
     y = al_apply(w, x, certificate_factory)

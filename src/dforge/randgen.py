@@ -15,6 +15,9 @@ from .fields import RatFunc
 from .ideals import IdealA
 from .skew import SkewPoly, right_divmod
 
+# draws two_prime_point makes before it gives up
+_TWO_PRIME_TRIES = 200
+
 
 def random_fq_poly(rng, fq, max_deg, nonzero=False, monic=False):
     while True:
@@ -56,16 +59,17 @@ def random_skew(rng, field, max_tau_deg, coeff_deg, poly_only=True,
     return SkewPoly(field, coeffs)
 
 
-def random_module(rng, field, coeff_deg=1):
-    """Random rank-2 module with polynomial coefficients and g, Delta != 0."""
+def random_module(rng, field):
+    """Random rank-2 module with g, Delta != 0, whose coordinates are
+    polynomials of degree <= 1."""
     while True:
-        g = random_ext_elem(rng, field, coeff_deg)
-        d = random_ext_elem(rng, field, coeff_deg)
+        g = random_ext_elem(rng, field, 1)
+        d = random_ext_elem(rng, field, 1)
         if not g.is_zero() and not d.is_zero():
             return make_module(SkewPoly(field, (field.T(), g, d)))
 
 
-def rotation_pair(rng, field, shift=0, factor_deg=1):
+def rotation_pair(rng, field, shift=0):
     """(phi, psi, fwd, back): phi_T = f1 f2 + c and psi_T = f2 f1 + c.
 
     fwd = f2: phi -> psi and back = f1: psi -> phi, both of degree
@@ -77,8 +81,8 @@ def rotation_pair(rng, field, shift=0, factor_deg=1):
     cK = field.from_poly(fq.poly([c]))
     while True:
         a1 = field.from_poly(fq.poly([fq.elem_packed(rng.randrange(1, fq.q))]))
-        b1 = random_ext_elem(rng, field, factor_deg)
-        b2 = random_ext_elem(rng, field, factor_deg)
+        b1 = random_ext_elem(rng, field, 1)
+        b2 = random_ext_elem(rng, field, 1)
         if b1.is_zero() or b2.is_zero():
             continue
         tmc = field.T() - cK
@@ -94,7 +98,7 @@ def rotation_pair(rng, field, shift=0, factor_deg=1):
         return phi, psi, f2, f1
 
 
-def two_prime_point(rng, field, tries=200):
+def two_prime_point(rng, field):
     """A module with a planted cyclic isogeny of square-free 2-prime degree.
 
     Returns (phi, mid, target, h, g1, chi, p1, p2) with h: phi -> mid of
@@ -103,7 +107,7 @@ def two_prime_point(rng, field, tries=200):
     """
     fq = field.fq
     T = field.T()
-    for _ in range(tries):
+    for _ in range(_TWO_PRIME_TRIES):
         cs = rng.sample(range(fq.q), 2)
         c1 = fq.elem_packed(cs[0])
         c2 = fq.elem_packed(cs[1])

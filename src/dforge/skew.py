@@ -52,9 +52,6 @@ class SkewPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_scalar(self):
-        return len(self.coeffs) <= 1
-
     def is_one(self):
         return len(self.coeffs) == 1 and self.coeffs[0].is_one()
 

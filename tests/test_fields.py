@@ -147,7 +147,9 @@ def test_poly_pow_against_repeated_products(fq):
 
 def test_primitive_numerators_cases():
     T = F3.poly_T()
-    r = F3.rat
+    def r(num, den):
+        return RatFunc.make(F3.poly(num), F3.poly(den))
+
     # (T+2)/T, 0, (T+2)^2/(T+1): common denominator T(T+1), then content T+2
     rats = [r([2, 1], [0, 1]), F3.rat_zero, r([1, 1, 1], [1, 1])]
     nums = primitive_numerators(F3, rats)
@@ -1012,6 +1014,59 @@ def test_no_defaulted_certificate_parameters():
     assert hits == []
 
 
+def _functions(tree, cls=None):
+    """(function, enclosing class name or None) for every def in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, cls
+            yield from _functions(node)
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, node.name)
+        else:
+            yield from _functions(node, cls)
+
+
+def test_no_unset_defaulted_parameters():
+    # every defaulted parameter of the program is set by some call in
+    # src/, tests/ or scripts/, by keyword or by position: a default that
+    # no call overrides is a constant.  Calls are matched by the called
+    # name, and constructors by the class name
+    root = Path(__file__).resolve().parent.parent
+    calls = {}
+    for path in sorted(root.glob("*/**/*.py")):
+        if path.parts[len(root.parts)] not in ("src", "tests", "scripts"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), keywords))
+    unset = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        for fn, cls in _functions(ast.parse(path.read_text())):
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls and not static else 0
+            names = [fn.name] + ([cls] if fn.name == "__init__" else [])
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(a.arg, i - skip)
+                         for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a.arg, None) for a, d in
+                          zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg, index in defaulted:
+                if not any(None in kws or arg in kws
+                           or (index is not None and count > index)
+                           for name in names for count, kws in calls.get(name, [])):
+                    unset.append(f"{path.name}:{fn.lineno}: {fn.name}({arg})")
+    assert unset == []
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so an invariant check in the
     # program raises an exception instead
@@ -1092,23 +1147,81 @@ def test_assigned_locals_are_read():
     assert dead == []
 
 
-@pytest.mark.parametrize("p", [3, 5, 257, 65521])
-def test_prime_field_tables_match_the_digit_path(p):
-    # for d = 1 the tables come from integer products mod p; the digit
-    # path (convolution, reduction, dot product) must give the same ones
-    fq = get_fq(p)
-    order = p - 1
-    factors = [f for f in range(2, order + 1) if order % f == 0 and all(
-        f % g for g in range(2, f))]
-    gen = next(c for c in range(2, p)
-               if all(fq._spow(c, order // f) != 1 for f in factors))
+class _ScalarField:
+    """F_q by scalar products of F_p digit lists, reduced by the modulus one
+    coefficient at a time; the reference for the tables of `Fq`."""
+
+    def __init__(self, fq):
+        self.p, self.d, self.modulus = fq.p, fq.d, fq.modulus
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.d)]
+
+    def pack(self, digits):
+        return sum(c % self.p * self.p ** i for i, c in enumerate(digits))
+
+    def add(self, a, b):
+        return self.pack([x + y for x, y in zip(self.digits(a),
+                                                self.digits(b))])
+
+    def mul(self, a, b):
+        p, d = self.p, self.d
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            top = prod[k] % p
+            for i in range(d):
+                prod[k - d + i] -= top * self.modulus[i]
+        return self.pack(prod[:d])
+
+    def power(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a, e = self.mul(a, a), e >> 1
+        return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 81, 256, 257, 625, 4096,
+                               65521])
+def test_tables_match_a_scalar_reference(q):
+    # the generator is the first of 2, 3, ... whose (q - 1)/r-th powers are
+    # not 1, found by trial powers; its powers come by repeated products
+    fq = Fq.of_order(q)
+    ref = _ScalarField(fq)
+    order = q - 1
+    primes = [r for r in range(2, order + 1)
+              if order % r == 0 and all(r % s for s in range(2, r))]
+    gen = next((c for c in range(2, q)
+                if all(ref.power(c, order // r) != 1 for r in primes)), 1)
     exp = [1]
-    for _ in range(order - 1):
-        exp.append(fq._digit_mul(exp[-1], gen))
-    log = np.zeros(p, dtype=np.int64)
-    log[exp] = np.arange(order)
+    while len(exp) < order:
+        exp.append(ref.mul(exp[-1], gen))
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    assert sorted(exp) == list(range(1, q))
     assert fq._exp.tolist() == exp + exp
-    assert np.array_equal(fq._log, log)
+    assert fq._log.tolist() == log
+    if q > 256:
+        assert fq._addtab is None and fq._multab is None
+        return
+    # a b = g^(log a + log b), so the reference products come from exp
+    products = [[exp[(log[a] + log[b]) % order] if a and b else 0
+                 for b in range(q)] for a in range(q)]
+    assert fq._addtab.tolist() == [[ref.add(a, b) for b in range(q)]
+                                   for a in range(q)]
+    assert fq._multab.tolist() == products
+
+
+@pytest.mark.parametrize("q", [2 ** 16, 3 ** 10])
+def test_largest_extension_fields_build_quickly(q):
+    with deadline(0.5):
+        fq = Fq.of_order(q)
+    assert np.array_equal(np.sort(fq._exp[: q - 1]), np.arange(1, q))
 
 
 MATMUL_FIELDS = [F3, get_fq(5), F4, F9, get_fq(257), F512]

@@ -217,15 +217,17 @@ def test_primitive_part_divides_by_phi_n2():
 def test_split_at_cuts_the_kernel():
     for phi, fwd, a, iso in _non_cyclic_composites():
         for b in (a, phi.field.fq.poly([1, 1]), phi.field.fq.poly([0, 1])):
-            part, mid = split_at(phi, iso.mu, b)
+            phi_b = phi_a(phi, b)
+            part, mid = split_at(phi, iso.mu, phi_b)
             assert part.lead().is_one()
             assert right_divmod(iso.mu, part)[1].is_zero()
-            assert right_divmod(phi_a(phi, b), part)[1].is_zero()
+            assert right_divmod(phi_b, part)[1].is_zero()
             assert mid == target_of(phi, part)
-        assert split_at(phi, iso.mu, a)[0] == phi_a(phi, a).monic()
+        phi_aa = phi_a(phi, a)
+        assert split_at(phi, iso.mu, phi_aa)[0] == phi_aa.monic()
     # T + 1 misses the kernel of a (T)-isogeny: the part is 1, mid is phi
     fq, datum, phi, sphi, mu, eta = worked_example()
-    part, mid = split_at(sphi, mu, F3.poly([1, 1]))
+    part, mid = split_at(sphi, mu, phi_a(sphi, F3.poly([1, 1])))
     assert part.is_one() and mid is sphi
 
 
@@ -530,7 +532,8 @@ def _split_at_full_degree(iso, p):
     """(mid, p-part, cofactor) from the split at phi_{p^k}, k = deg_tau mu:
     that power kills the p-primary kernel of any isogeny, so it is the
     reference for the split at k = v_p(deg)."""
-    part, mid = split_at(iso.source, iso.mu, p.gen ** max(iso.mu.deg, 1))
+    part, mid = split_at(iso.source, iso.mu,
+                         phi_a(iso.source, p.gen ** max(iso.mu.deg, 1)))
     quo, rem = right_divmod(iso.mu, part)
     assert rem.is_zero()
     return mid, part, quo
