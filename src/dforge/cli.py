@@ -391,7 +391,7 @@ def main(argv=None):
     except AlgebraError as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, RuntimeError, TypeError, ValueError) as exc:
+    except (KeyError, MemoryError, RuntimeError, TypeError, ValueError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     json.dump(result, sys.stdout, indent=2, sort_keys=True)

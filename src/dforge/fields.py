@@ -1,5 +1,5 @@
 """Exact arithmetic for F_p < F_q < A = F_q[T] < Q = F_q(T), and the
-residue fields A/P.
+rings A/(P).
 
 Elements of F_q are packed base-p integers; polynomials over F_q are
 little-endian numpy int64 arrays of packed values.  Only `Fq.arr_axpy` and
@@ -23,7 +23,9 @@ switch looks at both lengths and the slot width (`_kron_pays`).
 A product by a constant skips these kernels: it is a scalar multiply, and
 the constant 1 returns the other operand (`PolyA.__mul__`).
 Matrices over F_q multiply the same way, by integer products of F_p digits
-(`Fq.arr_matmul`); `ResidueField` does all its arithmetic with them.
+(`Fq.arr_matmul`); `ResidueField`, the one arithmetic in A/(P) for a monic
+P, does all its work with them, Frobenius from T^q by squaring.  A/(P) is
+a field exactly when `is_field` holds; factorization in A computes in it.
 """
 from __future__ import annotations
 
@@ -1061,24 +1063,30 @@ class RatFunc:
 
 
 class ResidueField:
-    """The residue field A/P at a monic P of degree n >= 1, table-free.
+    """The ring A/P at a monic P of degree n >= 1, table-free.
 
     Elements are packed vectors of length n over the basis 1, T, ..., T^(n-1)
     of A/P.  Every operation is a kernel of `Fq`: products are
     convolutions reduced by one matrix product with the rows T^i mod P,
-    and Frobenius x -> x^q is the F_q-linear map with rows T^(iq) mod P.
-    The elements carry the coefficient interface of K{tau} (is_zero,
-    frob, inverse, +, -, *, /), so `skew` runs over A/P unchanged.  A/P is
-    a field exactly when P is irreducible (`is_field`).
+    i < 2n - 1, and Frobenius x -> x^q is the F_q-linear map with rows
+    (T^q)^i mod P, T^q by squaring.  The elements carry the coefficient
+    interface of K{tau} (is_zero, frob, inverse, +, -, *, /), so `skew`
+    runs over A/P unchanged; factorization in A computes in A/(f).  A/P
+    is a field exactly when P is irreducible (`is_field`).
     """
 
     def __init__(self, fq, P):
         self.fq = fq
         self.P = P
         self.n = n = P.degree
-        top = (n - 1) * fq.q + 1
-        self._table = fq.arr_xpow_table(P.array, max(top, 2 * n - 1))
-        self._frob = self._table[:top:fq.q]
+        self._table = fq.arr_xpow_table(P.array, 2 * n - 1)
+        # for n = 1, A/P is F_q and Frobenius the identity
+        rows = [self.one]
+        if n > 1:
+            xq = power(ResidueElem(self, self._table[1]), fq.q, self.one)
+            for _ in range(n - 1):
+                rows.append(rows[-1] * xq)
+        self._frob = np.array([r.vec for r in rows])
 
     # built on demand: elements refer to their field, so a field that kept
     # its own would form a reference cycle, left to the cyclic collector
@@ -1140,8 +1148,7 @@ class ResidueField:
         if images[n] != T:
             return False
         for r in _prime_factors(n):
-            diff = PolyA(self.fq, _trim((images[n // r] - T).vec))
-            if not diff.gcd(self.P).is_one():
+            if not (images[n // r] - T).lift().gcd(self.P).is_one():
                 return False
         return True
 
@@ -1207,5 +1214,9 @@ class ResidueElem:
         norm = int((self * conj).vec[0])
         return ResidueElem(fld, fq.arr_scalar_mul(conj.vec, fq.sinv(norm)))
 
+    def lift(self):
+        """The representative in A, of degree < n."""
+        return PolyA(self.field.fq, _trim(self.vec))
+
     def __repr__(self):
-        return f"{poly_to_text(PolyA(self.field.fq, _trim(self.vec)))} mod P"
+        return f"{poly_to_text(self.lift())} mod P"

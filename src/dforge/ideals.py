@@ -3,9 +3,10 @@ candidates in A: divisors in degree order and the coprime fractions of the
 rational root theorem, shared by every root search.
 
 A is a principal ideal domain: an ideal is stored by its monic generator
-and "divides" is polynomial divisibility.  Equal-degree splitting draws
-from a caller-suppliable random source so factorizations are reproducible;
-the returned factor list is sorted canonically either way.
+and "divides" is polynomial divisibility.  Distinct- and equal-degree
+factorization of a squarefree f compute in A/(f) (`fields.ResidueField`);
+equal-degree splitting draws from a caller-suppliable random source so
+factorizations are reproducible; the factor list is sorted canonically.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import RatFunc, poly_to_text, primitive_numerators
+from .fields import (RatFunc, ResidueField, poly_to_text, power,
+                     primitive_numerators)
 
 _DEFAULT_SEED = 0xD4
 # monic divisor sets larger than this are refused with BudgetExceeded
@@ -138,34 +140,36 @@ def squarefree_decomposition(f):
 
 
 def _distinct_degree(f):
-    """Split a squarefree monic f into (product of degree-d primes, d) parts."""
-    field = f.field
-    T = field.poly_T()
+    """Split a squarefree monic f into (product of degree-d primes, d) parts
+    by the Frobenius ladder x = T^(q^d) in A/(f): rest divides f, so
+    gcd(x - T, rest) is the product of the degree-d primes of rest."""
     out = []
-    r = T % f
-    d = 0
-    rest = f
+    rest, d = f, 0
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
             out.append((rest, rest.degree))
             break
-        r = r.frob_power(1) % rest
-        g = (r - T % rest).gcd(rest)
+        if d == 1:
+            T = x = ResidueField(f.field, f).reduce([f.field.poly_T()])[0]
+        x = x.frob()
+        g = (x - T).lift().gcd(rest)
         if not g.is_one():
             out.append((g, d))
             rest = rest // g
-            r = r % rest
     return out
 
 
 def _equal_degree(f, d, rng):
-    """Cantor-Zassenhaus split of a product of degree-d primes."""
+    """Cantor-Zassenhaus split of a product of degree-d primes in A/(f): by
+    h^((q^d - 1)/2) - 1 for odd q, by the trace sum h^(2^i), i < kd, for
+    q = 2^k."""
     field = f.field
     if f.degree == d:
         return [f]
     q = field.q
     n = f.degree
+    ring = ResidueField(field, f)
     while True:
         h = field.poly([field.elem_packed(rng.randrange(q)) for _ in range(n)])
         if h.degree < 1:
@@ -173,32 +177,17 @@ def _equal_degree(f, d, rng):
         g = h.gcd(f)
         if not g.is_one():
             break
+        t = ring.reduce([h])[0]
         if q % 2 == 1:
-            e = (q ** d - 1) // 2
-            w = _powmod(h, e, f) - field.poly_one % f
+            w = power(t, (q ** d - 1) // 2, ring.one) - ring.one
         else:
-            # char 2: additive trace over F_2
-            w = field.poly_zero
-            t = h % f
+            w = ring.zero
             for _ in range(d * field.d):
-                w = w + t
-                t = (t * t) % f
-        g = w.gcd(f)
+                w, t = w + t, t * t
+        g = w.lift().gcd(f)
         if not g.is_one() and g.degree < f.degree:
             break
     return _equal_degree(g.monic(), d, rng) + _equal_degree((f // g).monic(), d, rng)
-
-
-def _powmod(base, e, mod):
-    field = base.field
-    out = field.poly_one % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return out
 
 
 def factor_ideal(n, rng=None):

@@ -77,7 +77,7 @@ def rotation_pair(rng, field, shift=0):
     in F_q^x and the constant of f2 equal to (T - c) over it.
     """
     fq = field.fq
-    c = fq.elem_packed(shift) if isinstance(shift, int) else shift
+    c = fq.elem_packed(shift)
     cK = field.from_poly(fq.poly([c]))
     while True:
         a1 = field.from_poly(fq.poly([fq.elem_packed(rng.randrange(1, fq.q))]))

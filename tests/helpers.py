@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import signal
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
 
@@ -29,6 +30,26 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def bounded(seconds, peak_mib):
+    """`deadline(seconds)` on the body, and an AssertionError after it when
+    the memory it allocated peaked above `peak_mib` MiB (tracemalloc, which
+    sees numpy's arrays too)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        with deadline(seconds):
+            yield
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= peak_mib, f"allocations peaked at {peak:.1f} MiB"
 
 
 # -- field fixtures -----------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dforge import drinfeld
+from dforge import cli, drinfeld
 from dforge.cli import cmd_example35, main
 from dforge.fields import Fq
 from dforge.extfield import ExtField
@@ -345,6 +345,21 @@ def test_cli_exit_paths(tmp_path, monkeypatch, capsys, case, code, message):
     out = capsys.readouterr()
     assert message in out.err
     assert (out.out != "") == (code == 0)
+
+
+def test_cli_memory_error_is_internal_error(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError is reported on one line with exit 3, not as a
+    # traceback with Python's exit 1, the parse-error code
+    def exhausted(ctx):
+        raise MemoryError("planted")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", exhausted)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(example_doc()))
+    assert main(["verify", "--in", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["internal error: MemoryError: planted"]
 
 
 @pytest.mark.parametrize("command,doc", [("degree", example_doc()),

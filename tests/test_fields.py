@@ -45,6 +45,7 @@ from dforge.randgen import random_ext_elem, random_fq_poly, random_ratfunc
 from dforge.skew import SkewPoly
 
 from helpers import (
+    bounded,
     brute_force_linear_factors,
     deadline,
     get_fq,
@@ -934,6 +935,79 @@ def test_factor_ideal_multiplicities_through_pth_roots(fq):
         assert dict(factor_ideal(IdealA(f ** ef * g ** eg))) == want, (ef, eg)
 
 
+def _has_root(fq, f):
+    """True when f has a root in F_q, by evaluating f at every element."""
+    coeffs = f.array.tolist()[::-1]
+    if fq.d == 1:
+        x = np.arange(fq.q, dtype=np.int64)
+        acc = np.zeros(fq.q, dtype=np.int64)
+        for c in coeffs:
+            acc = (acc * x + c) % fq.p
+        return bool((acc == 0).any())
+    for x in range(fq.q):
+        acc = 0
+        for c in coeffs:
+            acc = fq.sadd(fq.smul(acc, x), c)
+        if acc == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("fq", [get_fq(2), F3, F4, F9, get_fq(257),
+                                get_fq(65521)], ids=lambda f: f"q{f.q}")
+def test_factor_ideal_against_planted_products(fq, monkeypatch):
+    # planted primes of degree 1 to 3, irreducible when linear or without
+    # a root in F_q: a pair of degree 1, a pair of degree 3 and one of degree
+    # 2 (over F_2, all five).  A pair shares its multiplicity, so
+    # equal-degree splitting gets a block of two; multiplicities up to
+    # p + 1, where p is small, send squarefree decomposition through p-th
+    # roots.
+    splits = []
+    split = ideals._equal_degree
+
+    def spy(f, d, rng):
+        splits.append(f.degree > d)
+        return split(f, d, rng)
+
+    monkeypatch.setattr(ideals, "_equal_degree", spy)
+    rng = random.Random(fq.q)
+    p = fq.p
+    mults = (1, 2, p, p + 1) if p < 300 else (1, 2, 3)
+    T = fq.poly_T()
+    for trial in range(6):
+        planted = {}
+        for degree, count in ((1, 2), (3, 2), (2, 1)):
+            m = rng.choice(mults)
+            while count:
+                P = random_fq_poly(rng, fq, degree - 1) + T ** degree
+                if P not in planted and (degree == 1
+                                         or not _has_root(fq, P)):
+                    planted[P] = m
+                    count -= 1
+        f = fq.poly_one
+        for P, m in planted.items():
+            f = f * P ** m
+        want = {IdealA(P): m for P, m in planted.items()}
+        assert dict(factor_ideal(IdealA(f), rng=random.Random(trial))) == want
+    assert any(splits)
+
+
+def test_factorization_over_f65521_stays_small():
+    # A/(f) takes its Frobenius rows from T^q by squaring, so a large q
+    # costs neither a table of (n - 1) q + 1 rows nor its time
+    fq = get_fq(65521)
+    rng = random.Random(16)
+    T = fq.poly_T()
+    for degree in (16, 40):
+        P = random_fq_poly(rng, fq, degree - 1) + T ** degree
+        with bounded(0.5, 16):
+            is_irreducible(P)
+    f = random_fq_poly(rng, fq, 15) + T ** 16
+    with bounded(0.5, 16):
+        factors = factor_ideal(IdealA(f))
+    assert sum(prime.degree * m for prime, m in factors) == 16
+
+
 def test_candidate_walk_stays_in_ideals():
     # ideals.py is the one place that enumerates divisors and fraction
     # candidates in A: no other module walks a heap or a divisor stream
@@ -1251,7 +1325,8 @@ def _irreducible(rng, fq, degree):
             return P
 
 
-@pytest.mark.parametrize("fq", [F3, get_fq(5), F4, F9], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("fq", [F3, get_fq(5), F4, F9, get_fq(257),
+                                get_fq(65521)], ids=lambda f: f"q{f.q}")
 def test_residue_field_against_polynomials_mod_p(fq):
     rng = random.Random(fq.q)
     for degree in (1, 2, 3, 6):
@@ -1268,7 +1343,9 @@ def test_residue_field_against_polynomials_mod_p(fq):
             assert ra * rb == F.reduce([a * b % P])[0]
             assert ra - rb == F.reduce([(a - b) % P])[0]
             assert ra + rb == F.reduce([(a + b) % P])[0]
-            assert ra.frob() == F.reduce([a.frob_power(1) % P])[0]
+            # a^q = (a mod P)^q mod P: a spread of at most (n - 1) q + 1
+            # terms keeps the reference short over F_65521
+            assert ra.frob() == F.reduce([(a % P).frob_power(1) % P])[0]
             assert F.reduce([(a, b)], root) == F.reduce([(a + b * root) % P])
             if not ra.is_zero():
                 assert (ra * ra.inverse()).is_one()
