@@ -358,19 +358,21 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+_PARSER = _Parser(
+    prog="dforge",
+    description="Exact isogeny algebra for rank-two Drinfeld modules",
+)
+_PARSER.add_argument("command",
+                     choices=sorted(_COMMANDS) + ["example35"],
+                     help="operation to run")
+_PARSER.add_argument("--in", dest="infile", help="job document (JSON)")
+_PARSER.add_argument("--q", type=int, default=3,
+                     help="field size for the example35 command")
+
+
 def main(argv=None):
-    parser = _Parser(
-        prog="dforge",
-        description="Exact isogeny algebra for rank-two Drinfeld modules",
-    )
-    parser.add_argument("command",
-                        choices=sorted(_COMMANDS) + ["example35"],
-                        help="operation to run")
-    parser.add_argument("--in", dest="infile", help="job document (JSON)")
-    parser.add_argument("--q", type=int, default=3,
-                        help="field size for the example35 command")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "example35":
             result = cmd_example35(args.q)
         else:

@@ -29,6 +29,7 @@ a field exactly when `is_field` holds; factorization in A computes in it.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -1065,14 +1066,14 @@ class RatFunc:
 class ResidueField:
     """The ring A/P at a monic P of degree n >= 1, table-free.
 
-    Elements are packed vectors of length n over the basis 1, T, ..., T^(n-1)
-    of A/P.  Every operation is a kernel of `Fq`: products are
+    Elements are packed vectors of length n over the basis 1, T, ...,
+    T^(n-1) of A/P.  Every operation is a kernel of `Fq`: products are
     convolutions reduced by one matrix product with the rows T^i mod P,
     i < 2n - 1, and Frobenius x -> x^q is the F_q-linear map with rows
-    (T^q)^i mod P, T^q by squaring.  The elements carry the coefficient
-    interface of K{tau} (is_zero, frob, inverse, +, -, *, /), so `skew`
-    runs over A/P unchanged; factorization in A computes in A/(f).  A/P
-    is a field exactly when P is irreducible (`is_field`).
+    (T^q)^i mod P, T^q by squaring, built on the first `frob`.  Elements
+    carry the coefficient interface of K{tau} (is_zero, frob, inverse, +,
+    -, *, /), so `skew` runs over A/P unchanged; factorization in A
+    computes in A/(f).  `is_field`: A/P is a field, i.e. P is irreducible.
     """
 
     def __init__(self, fq, P):
@@ -1080,13 +1081,16 @@ class ResidueField:
         self.P = P
         self.n = n = P.degree
         self._table = fq.arr_xpow_table(P.array, 2 * n - 1)
+
+    @cached_property
+    def _frob(self):
         # for n = 1, A/P is F_q and Frobenius the identity
         rows = [self.one]
-        if n > 1:
-            xq = power(ResidueElem(self, self._table[1]), fq.q, self.one)
-            for _ in range(n - 1):
+        if self.n > 1:
+            xq = power(ResidueElem(self, self._table[1]), self.fq.q, self.one)
+            for _ in range(self.n - 1):
                 rows.append(rows[-1] * xq)
-        self._frob = np.array([r.vec for r in rows])
+        return np.array([r.vec for r in rows])
 
     # built on demand: elements refer to their field, so a field that kept
     # its own would form a reference cycle, left to the cyclic collector

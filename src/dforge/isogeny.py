@@ -9,11 +9,12 @@ structure goes through two helpers: `split_at` cuts Ker mu at phi[a] (a
 right gcd and the module it lands on), and `primitive_part` divides mu by
 phi_{n2}; every cofactor is an `exact_quotient`.
 
-Every Isogeny is certified: `verify_isogeny` builds one only with a non-CM
-certificate that covers the source at deg_tau mu, and every operation that
-derives an isogeny asks its `certificate_factory` for the certificate the
-new one needs.  The degree, dual and p-part facts below rest on that
-invariant.  CM modules are reached through `intertwiner_space` and
+Every Isogeny is certified: both constructors check that a non-CM
+certificate covers the source at deg_tau mu, and every derived isogeny gets
+its certificate from a `certificate_factory`.  `verify_isogeny`, for a mu
+from outside the program, also checks mu phi_T = psi_T mu; `_certified`
+builds the derived ones, which intertwine by the exact division that built
+them.  CM modules are reached through `intertwiner_space` and
 `endo_search`, which return skew polynomials, not isogenies.
 """
 from __future__ import annotations
@@ -114,8 +115,20 @@ class Isogeny:
 
 
 def verify_isogeny(phi, psi, mu, certificate):
-    """Check mu phi_T = psi_T mu, separability and that the certificate
-    covers phi at deg_tau mu, returning the Isogeny."""
+    """The Isogeny mu: phi -> psi for a mu from outside the program: the
+    checks of `_certified`, then mu phi_T = psi_T mu."""
+    iso = _certified(phi, psi, mu, certificate)
+    if mu * phi.phiT != psi.phiT * mu:
+        raise NotIntertwining("mu phi_T != psi_T mu")
+    return iso
+
+
+def _certified(phi, psi, mu, certificate):
+    """The Isogeny mu: phi -> psi for a derived mu: nonzero, over one field,
+    separable and covered by the certificate at deg_tau mu.  An exact
+    quotient intertwines, since K{tau} has no zero divisors (Ore 1933;
+    Goss 1996, section 1): q b = a for isogenies b: phi -> psi and
+    a: phi -> chi gives (q psi_T - chi_T q) b = 0."""
     if mu.is_zero():
         raise NotIntertwining("the zero map is not an isogeny")
     if mu.field is not phi.field or psi.field is not phi.field:
@@ -123,8 +136,6 @@ def verify_isogeny(phi, psi, mu, certificate):
     if mu.constant().is_zero():
         raise Inseparable("constant term of mu vanishes; impossible in "
                           "generic characteristic")
-    if mu * phi.phiT != psi.phiT * mu:
-        raise NotIntertwining("mu phi_T != psi_T mu")
     if not certificate.covers(phi, mu.deg):
         raise MissingCertificate("isogeny needs its source certified non-CM "
                                  f"to bound {mu.deg}")
@@ -223,12 +234,8 @@ def _annihilator(iso):
         raise InternalInconsistency(
             "no annihilator of degree <= deg_tau mu; not a rank-2 isogeny kernel"
         )
-    gen = fq.poly([FqElem(fq, c) for c in combo] + [fq.one])
-    # exactness check: phi_gen must be right-divisible by mu
-    _, rem = right_divmod(phi_a(phi, gen), mu)
-    if not rem.is_zero():
-        raise InternalInconsistency("annihilator candidate fails divisibility")
-    return IdealA(gen)
+    # x -> x mod mu is F_q-linear and the relation exact: phi_gen mod mu = 0
+    return IdealA(fq.poly([FqElem(fq, c) for c in combo] + [fq.one]))
 
 
 def annihilator(iso):
@@ -294,8 +301,8 @@ def primitive_part(iso, certificate_factory):
         return iso
     quo = exact_quotient(iso.mu, phi_a(iso.source, n2.gen),
                          "phi_{n2} does not right-divide mu")
-    return verify_isogeny(iso.source, iso.target, quo,
-                          certificate_factory(iso.source, quo.deg))
+    return _certified(iso.source, iso.target, quo,
+                      certificate_factory(iso.source, quo.deg))
 
 
 def dual(iso, certificate_factory):
@@ -306,12 +313,10 @@ def dual(iso, certificate_factory):
     """
     cert = certificate_factory(iso.target, iso.mu.deg)
     a_n = iso.degree_ideal().gen
-    # a zero remainder is eta mu = phi_{a_n} itself
+    # eta mu = phi_{a_n}, so mu eta = psi_{a_n} and eta: psi -> phi (cancel mu)
     eta = exact_quotient(phi_a(iso.source, a_n), iso.mu,
                          "phi_{a_n} is not right-divisible by mu")
-    if iso.mu * eta != phi_a(iso.target, a_n):
-        raise InternalInconsistency("dual does not reproduce psi_{a_n}")
-    return verify_isogeny(iso.target, iso.source, eta, cert)
+    return _certified(iso.target, iso.source, eta, cert)
 
 
 def compose(g, f, certificate_factory):
@@ -320,8 +325,8 @@ def compose(g, f, certificate_factory):
     if f.target != g.source:
         raise ChainMismatch("target of the first leg differs from the source "
                             "of the second")
-    out = verify_isogeny(f.source, g.target, g.mu * f.mu,
-                         certificate_factory(f.source, f.mu.deg + g.mu.deg))
+    out = _certified(f.source, g.target, g.mu * f.mu,
+                     certificate_factory(f.source, f.mu.deg + g.mu.deg))
     if out.degree_ideal() != f.degree_ideal() * g.degree_ideal():
         raise InternalInconsistency("degree multiplicativity failed")
     return out
@@ -354,13 +359,13 @@ def project_p(iso, p, certificate_factory):
     k = deg.valuation(p)
     if k == 0:
         one = SkewPoly.from_scalar(phi.field.one)
-        return phi, verify_isogeny(phi, phi, one, iso.certificate), iso
+        return phi, _certified(phi, phi, one, iso.certificate), iso
     mu_p, mid = split_at(phi, iso.mu, phi_a(phi, p.gen ** k))
     quo = exact_quotient(iso.mu, mu_p, "p-part does not right-divide mu",
                          InternalInconsistency)
-    p_part = verify_isogeny(phi, mid, mu_p, iso.certificate)
-    coprime = verify_isogeny(mid, iso.target, quo,
-                             certificate_factory(mid, quo.deg))
+    p_part = _certified(phi, mid, mu_p, iso.certificate)
+    coprime = _certified(mid, iso.target, quo,
+                         certificate_factory(mid, quo.deg))
     dp = p_part.degree_ideal()
     if dp.valuation(p) * p.degree != dp.degree:
         raise InternalInconsistency("p-part degree is not a p-power")
@@ -370,8 +375,8 @@ def project_p(iso, p, certificate_factory):
 def factor_prime_power(iso, certificate_factory):
     """Factor a cyclic p^n-isogeny into n p-isogenies, unique up to units.
 
-    The composite of the returned factors equals mu exactly; each step
-    extracts the unique cyclic p-kernel as a right gcd with phi_{a_p}.
+    Each step cuts the unique cyclic p-kernel by a right gcd with phi_{a_p}
+    and divides it off mu exactly, so the links recompose to mu.
     """
     deg, _, n2 = iso.degree_parts()
     if not n2.is_unit():
@@ -395,13 +400,8 @@ def factor_prime_power(iso, certificate_factory):
                                     InternalInconsistency)
         cert = (iso.certificate if step == 0
                 else certificate_factory(cur_src, link.deg))
-        out.append(verify_isogeny(cur_src, tgt, link, cert))
+        out.append(_certified(cur_src, tgt, link, cert))
         cur_src = tgt
-    comp = out[0].mu
-    for nxt in out[1:]:
-        comp = nxt.mu * comp
-    if comp != iso.mu:
-        raise InternalInconsistency("prime-power factors do not recompose")
     return out
 
 
@@ -409,12 +409,12 @@ def find_isogenies(phi, psi, bound, candidates=None, *, certificate_factory):
     """All intertwiners of tau-degree <= bound as validated isogenies.
 
     Complete over K = Q; candidate-restricted over proper extensions (the
-    caller supplies constant terms).  The factory certifies phi to the
-    bound.
+    caller supplies constant terms).  `intertwiner_space` checks each root,
+    and the factory certifies phi to the bound.
     """
     cert = certificate_factory(phi, bound)
     space = intertwiner_space(phi, psi, bound, candidates)
-    return [verify_isogeny(phi, psi, u, cert) for u in space]
+    return [_certified(phi, psi, u, cert) for u in space]
 
 
 def normalize_isogeny(iso, galois):

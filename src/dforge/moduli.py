@@ -25,11 +25,11 @@ from .drinfeld import conjugate_module, j_invariant, phi_a
 from .ideals import IdealA, unit_ideal
 from .isogeny import (
     Isogeny,
+    _certified,
     dual as iso_dual,
     exact_quotient,
     split_at,
     target_of,
-    verify_isogeny,
 )
 from .skew import lclm, right_gcd, scalar_ratio
 
@@ -150,7 +150,7 @@ def al_apply(w, x, certificate_factory):
     eta = exact_quotient(big, mu_m, "kernel union is not divisible by the "
                          "m-part", InternalInconsistency)
     psi_m = target_of(phi_m, eta)
-    out = verify_isogeny(phi_m, psi_m, eta, certificate_factory(phi_m, eta.deg))
+    out = _certified(phi_m, psi_m, eta, certificate_factory(phi_m, eta.deg))
     if out.degree_ideal() != n:
         raise InternalInconsistency("Atkin-Lehner image has the wrong degree")
     if not out.is_cyclic():
@@ -168,9 +168,9 @@ def diagram_closure_check(w, x, certificate_factory):
         return True
     y = al_apply(w, x, certificate_factory)
     eta_m = right_gcd(y.iso.mu, phi_a(phi_m, a_m))
-    # dual of mu_m: phi_m -> phi
-    mu_m_iso = verify_isogeny(phi, phi_m, mu_m,
-                              certificate_factory(phi, mu_m.deg))
+    # dual of mu_m: phi_m -> phi; mu_m: phi -> phi_m by split_at
+    mu_m_iso = _certified(phi, phi_m, mu_m,
+                          certificate_factory(phi, mu_m.deg))
     hat = iso_dual(mu_m_iso, certificate_factory)
     # hat.mu = lambda * eta_m for a scalar lambda in K^x
     return scalar_ratio(hat.mu, eta_m) is not None

@@ -29,12 +29,12 @@ from .drinfeld import conjugate_module, j_invariant
 from .groups import CyclicProduct
 from .ideals import IdealA, unit_ideal
 from .isogeny import (
+    _certified,
     compose as iso_compose,
     dual as iso_dual,
     factor_prime_power,
     primitive_part,
     project_p,
-    verify_isogeny,
 )
 from .skew import SkewPoly
 
@@ -541,7 +541,7 @@ def materialize_center(datum, result, certificate_factory):
         """Concrete primitive isogeny base -> conjugate i."""
         if i == 0:
             one = SkewPoly.from_scalar(base.field.one)
-            return verify_isogeny(base, base, one, factory(base, 0))
+            return _certified(base, base, one, factory(base, 0))
         iso = datum.isogenies.get((0, i))
         if iso is not None:
             return iso

@@ -1152,6 +1152,22 @@ def test_no_assert_statements():
     assert hits == []
 
 
+def test_verify_isogeny_is_called_only_from_the_cli():
+    # the product check mu phi_T = psi_T mu runs on a mu from outside the
+    # program, the job documents; a derived mu intertwines by the exact
+    # division that built it and goes through isogeny._certified
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and "verify_isogeny" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
 def test_factor_ideal_checks_the_product(monkeypatch):
     # a wrong factor from the equal-degree split is caught by re-multiplying
     gen = F3.poly([1, 0, 1])  # T^2 + 1, irreducible over F_3
@@ -1350,3 +1366,23 @@ def test_residue_field_against_polynomials_mod_p(fq):
             if not ra.is_zero():
                 assert (ra * ra.inverse()).is_one()
                 assert (rb / ra) * ra == rb
+
+
+@pytest.mark.parametrize("fq", [F3, F4, F9], ids=lambda f: f"q{f.q}")
+def test_residue_ring_builds_frobenius_rows_on_first_use(fq):
+    # A/(f) at a product of two primes, as the equal-degree split takes it:
+    # powers and trace sums build no Frobenius rows, and the first frob
+    # builds rows that agree with the polynomial reference
+    rng = random.Random(fq.q + 1)
+    f = _irreducible(rng, fq, 2) * _irreducible(rng, fq, 3)
+    ring = ResidueField(fq, f)
+    a = random_fq_poly(rng, fq, 9)
+    t = ring.reduce([a])[0]
+    acc = ring.zero
+    for _ in range(3):
+        acc, t = acc + t, t * t
+    assert acc == ring.reduce([(a + a ** 2 + a ** 4) % f])[0]
+    assert "_frob" not in vars(ring)
+    ra = ring.reduce([a])[0]
+    assert ra.frob() == ring.reduce([a.frob_power(1) % f])[0]
+    assert "_frob" in vars(ring)

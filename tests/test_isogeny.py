@@ -24,6 +24,7 @@ from dforge.errors import (
 from dforge.extfield import GaloisDatum
 from dforge.ideals import IdealA, divisors_in_degree_order
 from dforge.isogeny import (
+    Isogeny,
     _min_monic_dependence,
     annihilator,
     compose,
@@ -41,6 +42,12 @@ from dforge.isogeny import (
     target_of,
     verify_isogeny,
 )
+from dforge.moduli import (
+    ModuliPoint,
+    al_apply,
+    al_group,
+    diagram_closure_check,
+)
 from dforge.randgen import (
     random_ext_elem,
     random_module,
@@ -48,6 +55,7 @@ from dforge.randgen import (
     two_prime_point,
 )
 from dforge.skew import SkewPoly, conjugate, right_divmod, scalar_ratio
+from dforge.trees import classify, materialize_center, orbit_from_isogenies
 
 from helpers import get_fq, quadratic_field, rational_field
 
@@ -696,3 +704,81 @@ def test_min_monic_dependence_planted(fq):
         assert acc == fq.zero
     assert got == [(-fq.elem_packed(c)).val for c in combo]
     assert _min_monic_dependence(rows, fq) == (None, None)
+
+
+def _planted_points():
+    """Cyclic isogenies over F_3(T) from outside the program, with both ends
+    certified: rotation pairs of level (T - c), two-prime points and cyclic
+    (T - c)^2 isogenies."""
+    from dforge.errors import CMSuspected
+
+    rng = random.Random(71)
+    out = []
+    for shift in range(3):
+        phi, psi, fwd, _ = safe_pair(rng, Q3, shift)
+        out.append(verify_isogeny(phi, psi, fwd, CERTS(phi, 2)))
+    while len(out) < 7:
+        try:
+            if len(out) < 5:
+                phi, _, tgt, _, _, chi, _, _ = two_prime_point(rng, Q3)
+            else:
+                c = F3.elem_packed(rng.randrange(3))
+                phi, tgt, chi = _cyclic_square(rng, Q3, c)
+            CERTS(tgt, 2)
+            out.append(verify_isogeny(phi, tgt, chi, CERTS(phi, 2)))
+        except CMSuspected:
+            continue
+    return out
+
+
+def _derive(iso, candidates):
+    """Every derived operation on a cyclic isogeny iso of level n: dual,
+    compose, primitive_part, project_p at each linear prime,
+    factor_prime_power, find_isogenies, and al_apply and
+    diagram_closure_check over W(n)."""
+    hat = dual(iso, CERTS)
+    primitive_part(compose(hat, iso, CERTS), CERTS)
+    for c in range(3):
+        project_p(iso, IdealA(F3.poly([c, 1])), CERTS)
+    if len(iso.degree_ideal().factors()) == 1:
+        factor_prime_power(iso, CERTS)
+    find_isogenies(iso.source, iso.target, iso.mu.deg, candidates,
+                   certificate_factory=CERTS)
+    x = ModuliPoint(iso)
+    for w in al_group(iso.degree_ideal()):
+        al_apply(w, x, CERTS)
+        diagram_closure_check(w, x, CERTS)
+
+
+def test_derived_isogenies_pass_the_outside_constructor(monkeypatch):
+    # every isogeny the derived operations build, on the planted points, the
+    # non-cyclic composites and the worked example with its materialized
+    # center, passes the product check of verify_isogeny, and its mu
+    # right-divides phi_{n1} at its annihilator n1
+    points = _planted_points()
+    _, galois, phi, sphi, mu, eta = worked_example()
+    iso_mu = verify_isogeny(sphi, phi, mu, CERTS(sphi, 2))
+    iso_eta = verify_isogeny(phi, sphi, eta, CERTS(phi, 2))
+    built = []
+    init = Isogeny.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Isogeny, "__init__", record)
+    for iso in points:
+        _derive(iso, None)
+    for _, _, _, iso in _non_cyclic_composites():
+        primitive_part(iso, CERTS)
+    _derive(iso_mu, [K3.gen() + K3.one])
+    datum = orbit_from_isogenies([phi, sphi],
+                                 {(1, 0): iso_mu, (0, 1): iso_eta}, galois)
+    materialize_center(datum, classify(datum), certificate_factory=CERTS)
+    monkeypatch.undo()
+    assert len(built) > 10 * len(points)
+    for iso in built:
+        again = verify_isogeny(iso.source, iso.target, iso.mu, iso.certificate)
+        assert again == iso
+        n1 = annihilator(iso)
+        assert right_divmod(phi_a(iso.source, n1.gen), iso.mu)[1].is_zero()
