@@ -31,7 +31,8 @@ from .errors import (
 from .fields import (RatFunc, ResidueField, cleared_numerators,
                      primitive_numerators, shifted_sum)
 from .ideals import coprime_fractions
-from .skew import SkewPoly, conjugate, right_divmod, right_gcd, skew_eval
+from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
+                   skew_eval)
 
 # candidates linearized_roots_in_Q may test before it gives up
 ROOT_CANDIDATE_BUDGET = 2_000_000
@@ -239,57 +240,6 @@ def a_part_kernel_poly(field, t):
     return W
 
 
-def _strip_content(a):
-    """Clear coordinate denominators and divide out the coefficient content.
-
-    Left scaling by elements of Q preserves kernels, so this is free to use
-    anywhere only kernels matter.
-    """
-    if a.is_zero():
-        return a
-    field = a.field
-    e = field.e
-    nums = primitive_numerators(field.fq,
-                                [r for c in a.coeffs for r in c.coords])
-    return SkewPoly(field, [field.elem(nums[i: i + e])
-                            for i in range(0, len(nums), e)])
-
-
-def _pseudo_right_mod(a, b):
-    """a mod b up to left scaling; multiplies through by the lead instead of
-    dividing, so polynomial coordinates stay polynomial."""
-    field = a.field
-    m = b.deg
-    lead = b.lead()
-    lead_frobs = [lead]
-    for _ in range(a.deg - m):
-        lead_frobs.append(lead_frobs[-1].frob())
-    while a.deg >= m:
-        k = a.deg - m
-        top = a.lead()
-        a = (a.scale_left(lead_frobs[k])
-             - SkewPoly(field, (field.zero,) * k + (top,)) * b)
-    return a
-
-
-def _kernel_dimension_pair(quotients):
-    """F_q-dimension of the common kernel of the constraint quotients, by a
-    fraction-free right Euclid (pseudo-division plus content stripping)."""
-    if len(quotients) == 1:
-        g = quotients[0]
-        return g.deg - g.tau_valuation()
-    a, b = quotients[0], quotients[1]
-    a = _strip_content(a)
-    b = _strip_content(b)
-    if a.deg < b.deg:
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_right_mod(a, b)
-        r = _strip_content(r)
-        a, b = b, r
-    return a.deg - a.tau_valuation()
-
-
 def build_intertwiner(slevels, dens, c0):
     """Assemble the skew polynomial with constant term c0 via the recurrence."""
     field = c0.field
@@ -365,12 +315,12 @@ def certify_non_cm(module, bound):
       and the certificate holds at every bound (lemma below);
     - "degrees", one tail t: after checking exactly that t vanishes on V,
       the dimension is deg t - val t;
-    - "modular", two tails: the same check, then the right gcd of the
-      tails reduced modulo one prime P (`_modular_dimension`);
+    - "modular", two tails: the same check, then the kernel dimension of
+      the tails reduced modulo one prime P (`_modular_dimension`);
     - "exact", two tails the modular search did not prove (a refusal, two
       unlucky primes, or no good prime within the candidate budget): right
-      division by the subspace polynomial W of V and a fraction-free right
-      Euclid on the quotients.  Refusals always come from this path or
+      division by the subspace polynomial W of V and the kernel dimension
+      of the quotients.  Refusals always come from this path or
       from the degree count.
 
     Lemma (the j-invariant).  If an endomorphism over K-bar lies outside
@@ -415,7 +365,7 @@ def _kernel_dimension(field, tails, bound, residue_degree=None):
                 "A-part constants do not satisfy the closure constraints"
             )
     if len(tails) == 1:
-        return tails[0].deg - tails[0].tau_valuation(), "degrees", ()
+        return kernel_dimension(tails), "degrees", ()
     dimension, primes = _modular_dimension(
         field, tails, bound, residue_degree or 2 * bound + 2)
     if dimension is not None:
@@ -442,18 +392,12 @@ def _vanishes_on_a_part(t, m):
 
 def _exact_dimension(field, tails, bound):
     """The exact path: each tail right-divided by the subspace polynomial W
-    of the A-part (a zero remainder is checked), then the fraction-free
-    right Euclid on the quotients."""
+    of the A-part, then the kernel dimension of the quotients.  Every tail
+    vanishes on the A-part (`_kernel_dimension`), so W right-divides it by
+    the A-part lemma of `certify_non_cm`."""
     W = a_part_kernel_poly(field, bound // 2)
-    quotients = []
-    for t in tails:
-        quo, rem = right_divmod(t, W)
-        if not rem.is_zero():
-            raise InternalInconsistency(
-                "A-part constants do not satisfy the closure constraints"
-            )
-        quotients.append(quo)
-    return bound // 2 + 1 + _kernel_dimension_pair(quotients)
+    quotients = [right_divmod(t, W)[0] for t in tails]
+    return bound // 2 + 1 + kernel_dimension(quotients)
 
 
 def _residue_primes(field, degree):
@@ -567,8 +511,7 @@ def _modular_dimension(field, tails, bound, residue_degree):
                 or reduced[0][-1].is_zero():
             primes.append((P, "skipped"))
             continue
-        g = right_gcd(SkewPoly(F, reduced[0]), SkewPoly(F, reduced[1]))
-        dimension = g.deg - g.tau_valuation()
+        dimension = kernel_dimension([SkewPoly(F, t) for t in reduced])
         if dimension < expected:
             raise InternalInconsistency(
                 "reduced constraints lost the A-part constants"
@@ -659,8 +602,8 @@ def intertwiner_space(phi, psi, bound, candidates=None):
 
     Complete over K = Q; over a proper extension the caller must supply
     constant-term candidates, and only those are tested.  Roots of one tail
-    constraint are enumerated and filtered through the remaining ones, so no
-    gcd of the constraints is ever formed.
+    constraint are enumerated and filtered through the remaining ones, until
+    they span the common kernel, whose dimension `kernel_dimension` gives.
     """
     slevels, dens, tails = intertwiner_closure(phi, psi, bound)
     field = phi.field
@@ -669,7 +612,7 @@ def intertwiner_space(phi, psi, bound, candidates=None):
             raise UnsupportedField(
                 "constant-term candidates are required over a proper extension"
             )
-        dim_bar = _kernel_dimension_pair(tails)
+        dim_bar = kernel_dimension(tails)
         if phi == psi and dim_bar == bound // 2 + 1:
             # kernel equals the A-part: every admissible constant term is
             # the value of some a with 2 deg a <= bound

@@ -41,7 +41,8 @@ from .errors import (
 from .fields import FqElem, cleared_numerators, is_irreducible
 from .ideals import IdealA, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
-from .skew import SkewPoly, conjugate, right_divmod, right_gcd, scalar_ratio
+from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
+                   right_gcd, scalar_ratio)
 
 __all__ = [
     "Isogeny",
@@ -248,10 +249,10 @@ def _degree_parts(iso):
 
     Lemma: for p^e exactly dividing n1, Ker mu cap phi[p^e] is the
     p-primary part of Ker mu = A/n1 + A/n2 (n2 | n1, so p^e kills it), of
-    order q^((e + v_p(n2)) deg p); that is the tau-degree of
-    rgcd(mu, phi_{p^e}).  A degree of any other form, an n2 whose degree
-    does not complete n1 to deg_tau mu, or a phi_{n2} that does not
-    right-divide mu raises StructureError (CM input or rank != 2).
+    F_q-dimension (e + v_p(n2)) deg p (`kernel_dimension`).  A degree of any
+    other form, an n2 whose degree does not complete n1 to deg_tau mu, or a
+    phi_{n2} that does not right-divide mu raises StructureError (CM input
+    or rank != 2).
     """
     n1 = iso.annihilator_ideal
     k = iso.mu.deg - n1.degree
@@ -261,7 +262,7 @@ def _degree_parts(iso):
     if k == 0:
         return n1 * n2, n1, n2
     for p, e in n1.factors():
-        d = right_gcd(iso.mu, phi_a(iso.source, p.gen ** e)).deg
+        d = kernel_dimension([iso.mu, phi_a(iso.source, p.gen ** e)])
         v = d // p.degree - e
         if d % p.degree or not 0 <= v <= e:
             raise StructureError(f"kernel of mu at {p} has tau-degree {d}; "

@@ -1,21 +1,26 @@
 """The twisted polynomial ring K{tau} with tau*c = c^q*tau.
 
-Right division is the only Euclidean structure implemented; duals,
-annihilators and kernel intersections all reduce to it.  Coefficients of
-one skew polynomial always live in one declared field; mixed-field
-operations raise rather than coerce.
+Right division (`right_divmod`, Ore 1933) carries two right Euclids: a
+fraction-free one for the right gcd and the dimension of a common kernel
+(`right_gcd`, `kernel_dimension`), and one with field division for the
+least common left multiple (`lclm`).  Coefficients of one skew polynomial
+always live in one declared field; mixed-field operations raise rather
+than coerce.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import BothZero, DivisionByZero, FieldMismatch
-from .fields import power
+from .extfield import ExtField
+from .fields import power, primitive_numerators
 
 __all__ = [
     "SkewPoly",
     "skew_mul",
     "right_divmod",
     "right_gcd",
-    "right_gcd_bezout",
+    "kernel_dimension",
     "lclm",
     "scalar_ratio",
     "skew_eval",
@@ -212,52 +217,99 @@ def right_divmod(a, b):
     return SkewPoly(field, quo), SkewPoly(field, rem[:m])
 
 
-def right_gcd(a, b):
-    """Monic generator of the right ideal aK{tau} + bK{tau}.
+def _strip_content(a):
+    """a times the element of Q that makes its coordinates coprime
+    polynomials; left scaling by Q^x keeps the kernel and the left ideal."""
+    if a.is_zero():
+        return a
+    field = a.field
+    e = field.e
+    nums = primitive_numerators(field.fq,
+                                [r for c in a.coeffs for r in c.coords])
+    return SkewPoly(field, [field.elem(nums[i: i + e])
+                            for i in range(0, len(nums), e)])
 
-    Its kernel is the intersection of the kernels for separable inputs.
+
+def _pseudo_right_mod(a, b):
+    """c*a mod b for some nonzero c in K: each step scales the remainder by
+    the lead of tau^k*b instead of dividing by it, so no inverse is taken
+    and polynomial coordinates stay polynomial."""
+    m = b.deg
+    # tau^k*b = sum_j b_j^(q^k) tau^(j+k): one Frobenius ladder for all steps
+    rows = [b.coeffs]
+    for _ in range(a.deg - m):
+        rows.append([c.frob() for c in rows[-1]])
+    rem = list(a.coeffs)
+    for k in range(a.deg - m, -1, -1):
+        top = rem.pop()
+        if top.is_zero():
+            continue
+        row = rows[k]
+        rem = [row[m] * c for c in rem]
+        for j in range(m):
+            if not row[j].is_zero():
+                rem[k + j] = rem[k + j] - top * row[j]
+    return SkewPoly(a.field, rem)
+
+
+def _pseudo_right_gcd(a, b):
+    """A right gcd of a and b up to a left scalar, by a fraction-free right
+    Euclid (Li & Nemes, ISSAC 1997).
+
+    Pseudo-division multiplies by leads instead of dividing by them.  Over K
+    each remainder is then made primitive, so its coordinates stay
+    polynomials of bounded degree; over A/P (`fields.ResidueField`)
+    coefficients cannot grow and no content is removed.
     """
     if a.is_zero() and b.is_zero():
         raise BothZero("right gcd of two zero skew polynomials")
+    a._same(b)
+    over_k = isinstance(a.field, ExtField)
+    if over_k:
+        a, b = _strip_content(a), _strip_content(b)
+    if a.deg < b.deg:
+        a, b = b, a
     while not b.is_zero():
-        a, b = b, right_divmod(a, b)[1]
-    return a.monic()
+        a, b = b, _pseudo_right_mod(a, b)
+        if over_k:
+            b = _strip_content(b)
+    return a
 
 
-def _extended_right_euclid(a, b):
-    """(r, u0, v0, u1): r = u0*a + v0*b is the last nonzero remainder of
-    right division (not made monic) and u1*a + v1*b = 0 for the next
-    cofactors, so u1*a is a least common left multiple of a and b."""
+def right_gcd(a, b):
+    """Monic generator of the left ideal K{tau}a + K{tau}b, the greatest
+    common right divisor of a and b.
+
+    Its kernel is the intersection of the kernels (`kernel_dimension`).
+    """
+    return _pseudo_right_gcd(a, b).monic()
+
+
+def kernel_dimension(polys):
+    """F_q-dimension of the common kernel of `polys` in an algebraic
+    closure: deg g - val g for g their right gcd, as ker g = cap ker a and
+    g = g' tau^val with g' separable."""
+    g = reduce(_pseudo_right_gcd, polys)
+    return g.deg - g.tau_valuation()
+
+
+def lclm(a, b):
+    """Least common left multiple; its kernel is the sum of the kernels.
+
+    Each remainder of the right Euclid with field division is u*a + v*b; at
+    the first zero remainder u*a = -v*b is the least common left multiple
+    (Ore 1933), so only the cofactor u of a is tracked.
+    """
+    if a.is_zero() or b.is_zero():
+        raise BothZero("lclm needs two nonzero skew polynomials")
     field = a.field
-    one = SkewPoly.from_scalar(field.one)
-    zero = SkewPoly(field, ())
     r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
+    u0, u1 = SkewPoly.from_scalar(field.one), SkewPoly(field, ())
     while not r1.is_zero():
         q, r = right_divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0, u1
-
-
-def right_gcd_bezout(a, b):
-    """(g, u, v) with g = u*a + v*b the monic right gcd (left coefficients)."""
-    if a.is_zero() and b.is_zero():
-        raise BothZero("right gcd of two zero skew polynomials")
-    r0, u0, v0, _ = _extended_right_euclid(a, b)
-    if not r0.lead().is_one():
-        c = SkewPoly.from_scalar(r0.lead().inverse())
-        r0, u0, v0 = c * r0, c * u0, c * v0
-    return r0, u0, v0
-
-
-def lclm(a, b):
-    """Least common left multiple; its kernel is the sum of the kernels."""
-    if a.is_zero() or b.is_zero():
-        raise BothZero("lclm needs two nonzero skew polynomials")
-    return (_extended_right_euclid(a, b)[3] * a).monic()
+    return (u1 * a).monic()
 
 
 def scalar_ratio(a, b):

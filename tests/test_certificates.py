@@ -251,9 +251,6 @@ def test_two_tails_off_the_a_part_are_inconsistent():
     for pair in ([off_the_a_part(t1), t2], [t1, off_the_a_part(t2)]):
         with pytest.raises(InternalInconsistency):
             _kernel_dimension(K, pair, 2)
-        # the exact path finds the same fault as a nonzero remainder
-        with pytest.raises(InternalInconsistency):
-            _exact_dimension(K, pair, 2)
 
 
 def test_prime_dividing_the_lead_is_skipped():

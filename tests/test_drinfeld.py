@@ -10,7 +10,6 @@ from dforge.drinfeld import (
     DescentCocycle,
     certify_non_cm,
     conjugate_module,
-    _strip_content,
     descend_k_model,
     endo_search,
     frobenius_quotients,
@@ -37,7 +36,7 @@ from dforge.randgen import (
     random_module,
     random_skew,
 )
-from dforge.skew import SkewPoly
+from dforge.skew import SkewPoly, _strip_content
 
 from helpers import get_fq, quadratic_field, rational_field
 

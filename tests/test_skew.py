@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from dforge.errors import BothZero, DivisionByZero
 from dforge.extfield import GaloisDatum
 from dforge.fields import Fq, ResidueField
-from dforge.randgen import random_ext_elem, random_skew
+from dforge.randgen import random_ext_elem, random_fq_poly, random_skew
 from dforge.skew import (
     SkewPoly,
     conjugate,
     differential,
+    kernel_dimension,
     lclm,
     right_divmod,
     right_gcd,
-    right_gcd_bezout,
     skew_eval,
 )
 
@@ -150,14 +150,86 @@ def test_right_gcd_planted_common_factor():
         _, rem = right_divmod(g, c.monic())
         assert rem.is_zero()
         if done % 10 == 0:
-            gg, u, v = right_gcd_bezout(a * c, b * c)
-            assert gg == g
-            assert u * (a * c) + v * (b * c) == g
             m = lclm(a * c, b * c)
             assert m.deg == (a * c).deg + (b * c).deg - g.deg
             for w in (a * c, b * c):
                 _, r = right_divmod(m, w)
                 assert r.is_zero()
+        done += 1
+
+
+def field_division_right_gcd(a, b):
+    """Reference: the right Euclid with field division, made monic."""
+    while not b.is_zero():
+        a, b = b, right_divmod(a, b)[1]
+    return a.monic()
+
+
+def residue_field_5():
+    fq = get_fq(5)
+    F = ResidueField(fq, fq.poly([1, 1, 0, 1]))  # T^3 + T + 1
+    assert F.is_field()
+    return F
+
+
+EUCLID_FIELDS = {
+    "Q3": lambda: Q3,
+    "K3": lambda: K3,
+    "F9T": lambda: rational_field(3, Fq.of_order(9).modulus),
+    "K5": lambda: quadratic_field(5),
+    "A/P": residue_field_5,
+}
+
+
+def random_operand(rng, F, max_tau_deg):
+    """A random skew polynomial over F; over K, coordinates with
+    denominators half of the time."""
+    if isinstance(F, ResidueField):
+        n = rng.randrange(max_tau_deg + 1)
+        return SkewPoly(F, F.reduce([random_fq_poly(rng, F.fq, F.n - 1)
+                                     for _ in range(n + 1)]))
+    return random_skew(rng, F, max_tau_deg, 1,
+                       poly_only=rng.randrange(2) == 0)
+
+
+@pytest.mark.parametrize("name", sorted(EUCLID_FIELDS))
+def test_fraction_free_gcd_against_field_division(name):
+    # a common right factor c tau^v, v up to 2, so that gcds of positive
+    # degree and of positive tau-valuation both occur
+    F = EUCLID_FIELDS[name]()
+    rng = random.Random(name)
+    tau = SkewPoly.tau(F)
+    seen_degree = seen_valuation = 0
+    for trial in range(30):
+        c = random_operand(rng, F, 1) * tau ** (trial % 3)
+        a = random_operand(rng, F, 2) * c
+        b = random_operand(rng, F, 2) * c
+        if a.is_zero() and b.is_zero():
+            continue
+        want = field_division_right_gcd(a, b)
+        assert right_gcd(a, b) == want
+        dimension = want.deg - want.tau_valuation()
+        assert kernel_dimension([a, b]) == dimension
+        assert kernel_dimension([b, a]) == dimension
+        seen_degree += dimension > 0
+        seen_valuation += want.tau_valuation() > 0
+    assert seen_degree and seen_valuation
+
+
+def test_lclm_over_a_residue_field():
+    F = residue_field_5()
+    rng = random.Random(71)
+    done = 0
+    while done < 30:
+        c = random_operand(rng, F, 1)
+        a = random_operand(rng, F, 2) * c
+        b = random_operand(rng, F, 2) * c
+        if a.is_zero() or b.is_zero():
+            continue
+        m = lclm(a, b)
+        assert m.deg == a.deg + b.deg - right_gcd(a, b).deg
+        for w in (a, b):
+            assert right_divmod(m, w)[1].is_zero()
         done += 1
 
 
