@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from .errors import AlgebraError, EvenCharacteristic, ParseError
 from .extfield import ExtField, GaloisDatum
-from .fields import Fq, is_irreducible, split_prime_power
+from .fields import Fq, split_prime_power
 from .drinfeld import CertificateCache, conjugate_module, j_invariant, make_module
 from .ideals import IdealA
 from .isogeny import (
@@ -216,7 +216,7 @@ def cmd_project(ctx):
     iso = ctx.param("isogeny")
     with _reading():
         p = parse_ideal(ctx.params["prime"], ctx.fq)
-    if not is_irreducible(p.gen):
+    if not p.is_prime():
         raise ParseError(f"params.prime {p!r} is not a prime ideal")
     mid, p_part, coprime = project_p(iso, p, certificate_factory=ctx.certs)
     return {

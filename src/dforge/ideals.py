@@ -14,8 +14,8 @@ import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
-from .fields import (RatFunc, ResidueField, poly_to_text, power,
-                     primitive_numerators)
+from .fields import (RatFunc, ResidueField, is_irreducible, poly_to_text,
+                     power, primitive_numerators)
 
 _DEFAULT_SEED = 0xD4
 # monic divisor sets larger than this are refused with BudgetExceeded
@@ -23,15 +23,17 @@ _DIVISOR_CAP = 200_000
 
 
 class IdealA:
-    """Nonzero ideal of A by monic generator, with lazily computed factors."""
+    """Nonzero ideal of A by monic generator, with lazily computed factors
+    and primality."""
 
-    __slots__ = ("gen", "_factors")
+    __slots__ = ("gen", "_factors", "_prime")
 
     def __init__(self, gen):
         if gen.is_zero():
             raise ZeroIdeal("the zero ideal is not allowed here")
         self.gen = gen.monic()
         self._factors = None
+        self._prime = None
 
     @property
     def field(self):
@@ -73,6 +75,13 @@ class IdealA:
         if self._factors is None:
             self._factors = factor_ideal(self)
         return self._factors
+
+    def is_prime(self):
+        """True when the generator is irreducible; Rabin's test runs once
+        per ideal."""
+        if self._prime is None:
+            self._prime = is_irreducible(self.gen)
+        return self._prime
 
     def valuation(self, p):
         """v_p of this ideal for a prime p, by repeated exact division.

@@ -38,7 +38,7 @@ from .errors import (
     NotScalarConjugate,
     StructureError,
 )
-from .fields import FqElem, cleared_numerators, is_irreducible
+from .fields import FqElem, cleared_numerators
 from .ideals import IdealA, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
 from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
@@ -351,7 +351,7 @@ def project_p(iso, p, certificate_factory):
     (phi, 1, iso).  p must be a prime ideal: at a composite p the p-power
     check below passes on any power of p, so it is refused with ValueError.
     """
-    if not is_irreducible(p.gen):
+    if not p.is_prime():
         raise ValueError(f"project_p needs a prime ideal, not {p!r}")
     deg, _, n2 = iso.degree_parts()
     if not n2.is_unit():

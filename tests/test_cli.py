@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dforge import cli, drinfeld
+from dforge import cli, drinfeld, ideals
 from dforge.cli import cmd_example35, main
 from dforge.fields import Fq
 from dforge.extfield import ExtField
@@ -92,6 +92,14 @@ def test_parse_position_errors():
         parse_rat("T + x", F3)
     with pytest.raises(ParseError):
         parse_ext("t", K3)
+    # tokens are ASCII: a superscript or Arabic-Indic digit is neither an
+    # exponent nor the digit it stands for
+    for text, pos in (("T^\u00b2", 2), ("T^\u0661", 2),
+                      ("1 + T^\u00b2*t", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_skew(text, K3)
+        assert str(err.value) == (f"unexpected character {text[pos]!r} "
+                                  f"(at position {pos})")
 
 
 def test_parse_ideal_text():
@@ -224,6 +232,21 @@ def test_cli_project_refuses_a_non_prime(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert "parse error:" in out.err and "not a prime ideal" in out.err
+
+
+def test_cli_project_tests_the_prime_once(tmp_path, monkeypatch, capsys):
+    # the command's refusal and project_p's share one Rabin test
+    calls = []
+    test = ideals.is_irreducible
+    monkeypatch.setattr(ideals, "is_irreducible",
+                        lambda f: calls.append(f) or test(f))
+    doc = example_doc()
+    doc["params"] = {"isogeny": "mu", "prime": "(T)"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["project", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert [repr(f) for f in calls] == ["T"]
 
 
 def test_cli_parse_error_exit_code(tmp_path):
