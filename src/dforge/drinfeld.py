@@ -16,8 +16,11 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadConstantTerm,
+    BudgetExceeded,
     CMSuspected,
     CocycleViolation,
     DivisionByZero,
@@ -28,14 +31,16 @@ from .errors import (
     RankZero,
     UnsupportedField,
 )
-from .fields import (RatFunc, ResidueField, cleared_numerators,
-                     primitive_numerators, shifted_sum)
-from .ideals import coprime_fractions
+from .extfield import ExtFieldElem
+from .fields import (RatFunc, ResidueElem, ResidueField, cleared_numerators,
+                     primitive_numerators, row_relations, shifted_sum)
 from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
                    skew_eval)
 
-# candidates linearized_roots_in_Q may test before it gives up
-ROOT_CANDIDATE_BUDGET = 2_000_000
+# lines of kernels mod P that linearized_roots_in_Q may reconstruct before
+# it gives up, and the degree of its first prime
+ROOT_CANDIDATE_BUDGET = 20_000
+_ROOT_PRIME_DEGREE = 6
 
 __all__ = [
     "DrinfeldModule",
@@ -537,15 +542,77 @@ def _lin_eval_is_zero(cleared, u, vpows):
     return acc.is_zero()
 
 
-def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None):
-    """All c in Q with sum g_i c^(q^i) = 0, for coefficients in Q (e = 1).
+def _root_prime(fq, n, avoid):
+    """A/P for the first monic irreducible P of degree >= n, by degree,
+    then by its low coefficients read as base-q digits counting up from 0,
+    that divides no polynomial in `avoid`.  Candidates with a root in F_q
+    or a repeated factor are dropped before Rabin's test."""
+    q = fq.q
+    while True:
+        for index in range(q ** n):
+            P = fq.poly([fq.elem_packed(index // q ** i % q)
+                         for i in range(n)] + [fq.one])
+            if _has_root(P) or not P.gcd(P.derivative()).is_one():
+                continue
+            F = ResidueField(fq, P)
+            if F.is_field() and not any(a.is_zero() for a in F.reduce(avoid)):
+                return F
+        n += 1
 
-    Candidates u/v are the coprime monic pairs of `coprime_fractions` over
-    the trailing and leading cleared coefficients (rational root theorem
-    over the PID A); each F_q-line is tested once.  Roots must also kill
-    every constraint in `extra`; the search stops once q^stop_dim - 1 roots
-    are found, which is exhaustive when stop_dim bounds the kernel
-    dimension.
+
+def _reconstruct(P, r, k):
+    """The fraction u/v, deg u <= k, deg v < deg P - k, with u = r v mod P
+    and gcd(u, v) = 1, or None: the extended Euclid on (P, r), stopped at
+    the first remainder of degree <= k (von zur Gathen & Gerhard, Modern
+    Computer Algebra, Theorem 5.26: the one candidate)."""
+    fq = P.field
+    r0, r1 = P, r
+    t0, t1 = fq.poly_zero, fq.poly_one
+    while r1.degree > k:
+        quo, rem = divmod(r0, r1)
+        r0, r1, t0, t1 = r1, rem, t1, t0 - quo * t1
+    if r1.is_zero() or t1.degree >= P.degree - k \
+            or not r1.gcd(t1).is_one():
+        return None
+    return RatFunc.make(r1, t1)
+
+
+def linearized_roots_in_Q(gpoly, extra=(), known=()):
+    """All c in Q with sum g_i c^(q^i) = 0 that also kill every constraint
+    in `extra`, for coefficients in Q (e = 1), found modulo one prime.
+
+    `gpoly` is cleared to a primitive vector C_0, .., C_m over A
+    (`primitive_numerators`), each other constraint to a vector over A
+    (`cleared_numerators`).  The common kernel K_P of the cleared
+    constraints on A/P, of F_q-dimension d, comes from one elimination over
+    F_q (`ResidueField.linearized_matrices`, `fields.row_relations`).  Each
+    F_q-line of K_P is lifted by rational reconstruction (`_reconstruct`)
+    and checked exactly: `gpoly` cleared in A (`_lin_eval_is_zero`), every
+    other constraint by `skew_eval`.
+
+    Lemma.  Let s be the tau-valuation of `gpoly`.  A root u/v in lowest
+    terms has u | C_s and v | C_m: times v^(q^m), the equation gives
+    C_m u^(q^m) = 0 mod v, and C_s u^(q^s) v^(q^m - q^s) = 0 mod
+    u^(q^(s + 1)).  P is the first monic irreducible of degree n prime to
+    C_s C_m (`_root_prime`), so every root is P-integral, its residue lies
+    in K_P, and reduction is injective on the F_q-space of roots (a root
+    with P | u would need P | C_s).  So there are at most q^d - 1 nonzero
+    roots, and the search is complete when the verified lines fill K_P,
+    (q - 1) lines = q^d - 1.  Otherwise the next prime has degree 2n + 1.
+    Once n > deg C_s + deg C_m, reconstruction with deg u <= deg C_s and
+    deg v < n - deg C_s finds every root, so the verified lines are all of
+    them.  A tail with s > 0 needs no q-th roots: the lemma holds for it
+    as it is.  The degrees after the first are odd, so A/P no longer
+    contains F_(q^2): a kernel that comes from a constant-field extension
+    (a twist by a non-square of F_q, or CM by F_(q^2)) does not reduce into
+    it again.
+
+    `known` lists F_q-independent roots in A.  When the roots are their
+    span, it is returned in packed order (digit i of the index is the
+    coefficient of known[i]), with no reconstruction when they fill K_P;
+    any other result is sorted by (deg den, deg num, text).
+    Reconstructing more than ROOT_CANDIDATE_BUDGET lines raises
+    BudgetExceeded.
     """
     field = gpoly.field
     if field.e != 1:
@@ -553,20 +620,12 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None):
     fq = field.fq
     if gpoly.is_zero():
         raise DivisionByZero("root search on the zero constraint")
-    val = gpoly.tau_valuation()
-    cleared = primitive_numerators(fq, [c.as_rat() for c in gpoly.coeffs[val:]])
+    cleared = primitive_numerators(fq, [c.as_rat() for c in gpoly.coeffs])
+    tails = [cleared] + [cleared_numerators(fq, [c.as_rat() for c in t.coeffs])[0]
+                         for t in extra]
+    low, high = cleared[gpoly.tau_valuation()], cleared[-1]
     m = len(cleared) - 1
-    target = None if stop_dim is None else fq.q ** stop_dim - 1
-    units = [fq.elem_packed(u) for u in range(2, fq.q)]
-    lines = []
-
-    def q_power_root(r, k):
-        for _ in range(k):
-            r = r.qth_root()
-            if r is None:
-                return None
-        return r
-
+    n, tried = _ROOT_PRIME_DEGREE, 0
     vpow_cache = {}
 
     def vpows_for(v):
@@ -577,33 +636,75 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None):
             vpow_cache[v] = [vq[m] // vq[i] for i in range(m + 1)]
         return vpow_cache[v]
 
-    for u, v in coprime_fractions(cleared[0], cleared[-1],
-                                  budget=ROOT_CANDIDATE_BUDGET):
-        if not _lin_eval_is_zero(cleared, u, vpows_for(v)):
-            continue
-        root = q_power_root(RatFunc.make(u, v), val)
-        if root is None or not all(
-                skew_eval(t, field.from_rat(root)).is_zero() for t in extra):
-            continue
-        lines.append(root)
-        if target is not None and (fq.q - 1) * len(lines) >= target:
+    q = fq.q
+    lines = []
+    while True:
+        F = _root_prime(fq, n, (low, high))
+        basis = [ResidueElem(F, vec).lift() for _, vec in row_relations(
+            fq, np.hstack(F.linearized_matrices(tails)))]
+        if len(basis) == len(known):
             break
+        count = (q ** len(basis) - 1) // (q - 1)
+        tried += count
+        if tried > ROOT_CANDIDATE_BUDGET:
+            raise BudgetExceeded("reconstructed lines", ROOT_CANDIDATE_BUDGET)
+        deg_u = min(low.degree, F.n - 1 - min(high.degree, (F.n - 1) // 2))
+        lines = []
+        # one residue per line: its last nonzero digit, k, is 1
+        for k in range(len(basis)):
+            for index in range(q ** k, 2 * q ** k):
+                root = _reconstruct(F.P, _combination(fq, basis, index), deg_u)
+                if root is not None and _lin_eval_is_zero(
+                        cleared, root.num, vpows_for(root.den)) and all(
+                        skew_eval(t, field.from_rat(root)).is_zero()
+                        for t in extra):
+                    lines.append(root)
+        if len(lines) == count or F.n > low.degree + high.degree:
+            break
+        n = 2 * F.n + 1
+    if len(basis) == len(known) or (q - 1) * len(lines) + 1 == q ** len(known):
+        return [field.from_poly(_combination(fq, known, index))
+                for index in range(1, q ** len(known))]
     roots = []
     for r in lines:
-        roots.append(r)
-        for xi in units:
-            roots.append(RatFunc(fq, r.num.scale(xi), r.den))
+        for xi in range(1, q):
+            roots.append(RatFunc(fq, r.num.scale(fq.elem_packed(xi)), r.den))
     roots.sort(key=lambda r: (r.den.degree, r.num.degree, repr(r)))
     return [field.from_rat(r) for r in roots]
+
+
+def _combination(fq, basis, index):
+    """sum_i digit_i basis[i] in A, digit_i the i-th base-q digit of index."""
+    acc = fq.poly_zero
+    for i, b in enumerate(basis):
+        digit = index // fq.q ** i % fq.q
+        if digit:
+            acc = acc + b.scale(fq.elem_packed(digit))
+    return acc
+
+
+def _scaled(c, xi):
+    """xi c for xi in F_q^x and c in K: every numerator times xi, so the
+    canonical form needs no gcd."""
+    fq = c.field.fq
+    return ExtFieldElem(c.field, tuple(RatFunc(fq, r.num.scale(xi), r.den)
+                                       for r in c.coords))
 
 
 def intertwiner_space(phi, psi, bound, candidates=None):
     """All nonzero u with u phi_T = psi_T u and deg_tau u <= bound.
 
-    Complete over K = Q; over a proper extension the caller must supply
-    constant-term candidates, and only those are tested.  Roots of one tail
-    constraint are enumerated and filtered through the remaining ones, until
-    they span the common kernel, whose dimension `kernel_dimension` gives.
+    Complete over K = Q: the constant terms are the common roots in Q of
+    the closure's tails (`intertwiner_closure`), which
+    `linearized_roots_in_Q` finds modulo one prime and proves complete by
+    the dimension of the tails' kernel there.  When phi = psi, the A-part
+    constants 1, T, .., T^(bound // 2) are roots; if they fill that kernel,
+    they are all the roots.  Over a proper extension the caller must supply
+    constant-term candidates, and only those are tested.
+
+    One intertwiner is built and checked per F_q-line of constant terms.
+    xi in F_q^x is fixed by Frobenius, so xi u intertwines exactly when u
+    does, and the other roots of the line give xi u by scaling.
     """
     slevels, dens, tails = intertwiner_closure(phi, psi, bound)
     field = phi.field
@@ -612,33 +713,28 @@ def intertwiner_space(phi, psi, bound, candidates=None):
             raise UnsupportedField(
                 "constant-term candidates are required over a proper extension"
             )
-        dim_bar = kernel_dimension(tails)
-        if phi == psi and dim_bar == bound // 2 + 1:
-            # kernel equals the A-part: every admissible constant term is
-            # the value of some a with 2 deg a <= bound
-            fq = field.fq
-            roots = []
-            for packed in range(1, fq.q ** (bound // 2 + 1)):
-                digits = []
-                v = packed
-                while v:
-                    digits.append(fq.elem_packed(v % fq.q))
-                    v //= fq.q
-                roots.append(field.from_poly(fq.poly(digits)))
-        else:
-            roots = linearized_roots_in_Q(tails[0], extra=tails[1:],
-                                          stop_dim=dim_bar)
+        one = field.fq.poly_one
+        known = ([one.shift(k) for k in range(bound // 2 + 1)]
+                 if phi == psi else ())
+        roots = linearized_roots_in_Q(tails[0], extra=tails[1:], known=known)
     else:
         roots = [c for c in candidates
                  if all(skew_eval(t, c).is_zero() for t in tails)]
     out = []
+    built = {}  # F_q-line -> (u, the scalar of the root it was built from)
     for c0 in roots:
         if c0.is_zero():
             continue
-        u = build_intertwiner(slevels, dens, c0)
-        if (u * phi.phiT) != (psi.phiT * u):
-            raise InternalInconsistency("closure produced a non-intertwiner")
-        out.append(u)
+        xi = next(r for r in c0.coords if not r.is_zero()).num.lc()
+        line = _scaled(c0, xi.inverse())
+        if line not in built:
+            u = build_intertwiner(slevels, dens, c0)
+            if (u * phi.phiT) != (psi.phiT * u):
+                raise InternalInconsistency("closure produced a non-intertwiner")
+            built[line] = u, xi
+        u, xi0 = built[line]
+        out.append(u if xi == xi0 else SkewPoly(
+            field, [_scaled(c, xi / xi0) for c in u.coeffs]))
     return out
 
 

@@ -103,18 +103,23 @@ class Fq:
         modulus = tuple(c % p for c in modulus)
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        self.p = p
-        self.d = d
-        self.q = p ** d
-        self.modulus = modulus
-        # rows y^k mod modulus for k < 2d - 1, as F_p digit vectors
-        self._red = np.ones((1, 1), dtype=np.int64)
-        if self.d > 1:
+        red = np.ones((1, 1), dtype=np.int64)
+        if d > 1:
             fp = Fq(p)
             residues = ResidueField(fp, fp.poly(modulus))
             if not residues.is_field():
                 raise ValueError("modulus is reducible over F_p")
-            self._red = residues._rows(2 * self.d - 1)
+            red = residues._rows(2 * d - 1)
+        self._setup(p, modulus, red)
+
+    def _setup(self, p, modulus, red):
+        """The field from a checked prime p and modulus, with `red` the rows
+        y^k mod modulus for k < 2d - 1, as F_p digit vectors."""
+        self.p = p
+        self.d = len(modulus) - 1
+        self.q = p ** self.d
+        self.modulus = modulus
+        self._red = red
         self._pp = p ** np.arange(self.d, dtype=np.int64)
         self._build_tables()
         self.zero = FqElem(self, 0)
@@ -128,7 +133,9 @@ class Fq:
     def of_order(cls, q):
         """F_q for a prime power q <= 65,536 (ValueError otherwise), defined
         by the first monic irreducible of degree d whose low coefficients,
-        read as base-p digits, count up from 0."""
+        read as base-p digits, count up from 0.  Each candidate gets one
+        Rabin test, and the field is built from the rows of the one that
+        passes."""
         p, d = split_prime_power(q)
         fp = cls(p)
         if d == 1:
@@ -136,8 +143,11 @@ class Fq:
         # every degree has a monic irreducible, so the scan returns
         for digits in product(range(p), repeat=d):
             modulus = digits[::-1] + (1,)
-            if is_irreducible(fp.poly(modulus)):
-                return cls(p, modulus)
+            residues = ResidueField(fp, fp.poly(modulus))
+            if residues.is_field():
+                field = cls.__new__(cls)
+                field._setup(p, modulus, residues._rows(2 * d - 1))
+                return field
 
     def __repr__(self):
         return f"Fq(p={self.p}, d={self.d})"
@@ -797,20 +807,6 @@ class PolyA:
             np.concatenate((np.zeros(k, dtype=np.int64), self._c)),
         )
 
-    def qth_root(self):
-        """Exact q-th root, or None when the polynomial is not a q-th power."""
-        f = self.field
-        if self.is_zero():
-            return self
-        if (len(self._c) - 1) % f.q != 0:
-            return None
-        stride = self._c[:: f.q]
-        probe = np.zeros(len(self._c), dtype=np.int64)
-        probe[:: f.q] = stride
-        if not np.array_equal(probe, self._c):
-            return None
-        return PolyA(f, _trim(stride.copy()))
-
     def pth_root(self):
         """The p-th root of a polynomial in T^p: T^p -> T, and each
         coefficient x -> x^(p^(d-1)), the inverse of x -> x^p on F_q."""
@@ -1045,13 +1041,6 @@ class RatFunc:
             return self
         return RatFunc(self.field, self.num.frob_power(k), self.den.frob_power(k))
 
-    def qth_root(self):
-        rn = self.num.qth_root()
-        rd = self.den.qth_root()
-        if rn is None or rd is None:
-            return None
-        return RatFunc(self.field, rn, rd)
-
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
@@ -1156,8 +1145,62 @@ class ResidueField:
                 return False
         return True
 
+    def linearized_matrices(self, polys):
+        """For each coefficient list C_0, .., C_m in A, the n x n matrix over
+        F_q of c -> sum_i C_i c^(q^i) on A/P, row j the image of T^j.
+
+        The products by every C_i come from one matrix product: row j of
+        C_i is C_i T^j, reduced by the rows T^k mod P.  The q-power maps
+        act by the Frobenius rows, by Horner's rule in them.
+        """
+        fq, n = self.fq, self.n
+        coeffs = [c.array for cs in polys for c in cs]
+        width = n - 1 + max(len(c) for c in coeffs)
+        shifted = np.zeros((len(coeffs), n, width), dtype=np.int64)
+        for k, c in enumerate(coeffs):
+            for j in range(n):
+                shifted[k, j, j: j + len(c)] = c
+        products = fq.arr_matmul(shifted.reshape(-1, width),
+                                 self._rows(width)).reshape(-1, n, n)
+        out, start = [], 0
+        for cs in polys:
+            start += len(cs)
+            acc = products[start - 1]
+            for i in range(start - 2, start - len(cs) - 1, -1):
+                acc = fq.arr_axpy(products[i], 1, fq.arr_matmul(self._frob, acc))
+            out.append(acc)
+        return out
+
     def __repr__(self):
         return f"ResidueField({self.P!r})"
+
+
+def row_relations(fq, rows):
+    """Yield (k, combo) for each row k of the F_q-matrix `rows` that lies in
+    the span of the rows before it: combo[k] = 1, combo[i] = 0 for i > k
+    and sum_i combo[i] rows[i] = 0.
+
+    One incremental Gaussian elimination with an augmented identity block.
+    The combos yielded are a basis of the left kernel {x : x rows = 0}.
+    """
+    pivots = []  # (col, row, aug)
+    for k, row in enumerate(rows):
+        aug = np.zeros(len(rows), dtype=np.int64)
+        aug[k] = 1
+        for col, prow, paug in pivots:
+            c = int(row[col])
+            if c:
+                neg = fq.sneg(c)
+                row = fq.arr_axpy(row, neg, prow)
+                aug = fq.arr_axpy(aug, neg, paug)
+        nz = np.flatnonzero(row)
+        if len(nz) == 0:
+            yield k, aug
+            continue
+        col = int(nz[0])
+        inv = fq.sinv(int(row[col]))
+        pivots.append((col, fq.arr_scalar_mul(row, inv),
+                       fq.arr_scalar_mul(aug, inv)))
 
 
 class ResidueElem:

@@ -1,6 +1,6 @@
 """Ideals of A = F_q[T], polynomial factorization, and the one walk over
 candidates in A: divisors in degree order and the coprime fractions of the
-rational root theorem, shared by every root search.
+rational root theorem, for the roots in Q of polynomials over Q.
 
 A is a principal ideal domain: an ideal is stored by its monic generator
 and "divides" is polynomial divisibility.  Distinct- and equal-degree
@@ -57,9 +57,6 @@ class IdealA:
 
     def gcd(self, other):
         return IdealA(self.gen.gcd(other.gen))
-
-    def lcm(self, other):
-        return IdealA((self.gen * other.gen) // self.gen.gcd(other.gen))
 
     def divides(self, other):
         """self | other, i.e. other ⊆ self as sets."""

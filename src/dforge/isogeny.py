@@ -38,7 +38,7 @@ from .errors import (
     NotScalarConjugate,
     StructureError,
 )
-from .fields import FqElem, cleared_numerators
+from .fields import FqElem, cleared_numerators, row_relations
 from .ideals import IdealA, unit_ideal
 from .drinfeld import intertwiner_space, make_module, phi_a
 from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
@@ -176,28 +176,10 @@ def _min_monic_dependence(rows, fq):
     """First index n with rows[n] in the span of rows[:n], plus coefficients.
 
     Returns (n, combo) with rows[n] + sum combo[i] rows[i] = 0, the monic
-    relation; Gaussian elimination over F_q with an augmented identity block.
+    relation (`fields.row_relations`), or (None, None).
     """
-    pivots = []  # (col, row, aug)
-    for n, raw in enumerate(rows):
-        row = raw.copy()
-        aug = np.zeros(len(rows), dtype=np.int64)
-        aug[n] = 1
-        for col, prow, paug in pivots:
-            c = int(row[col])
-            if c:
-                neg = fq.sneg(c)
-                row = fq.arr_axpy(row, neg, prow)
-                aug = fq.arr_axpy(aug, neg, paug)
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            # sum_i aug[i] rows[i] = 0 with aug[n] = 1: the monic coefficients
-            return n, [int(aug[i]) for i in range(n)]
-        col = int(nz[0])
-        inv = fq.sinv(int(row[col]))
-        row = fq.arr_scalar_mul(row, inv)
-        aug = fq.arr_scalar_mul(aug, inv)
-        pivots.append((col, row, aug))
+    for n, combo in row_relations(fq, rows):
+        return n, [int(c) for c in combo[:n]]
     return None, None
 
 

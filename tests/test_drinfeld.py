@@ -7,6 +7,7 @@ import pytest
 from dforge import drinfeld
 from dforge.drinfeld import (
     CertificateCache,
+    a_part_kernel_poly,
     DescentCocycle,
     certify_non_cm,
     conjugate_module,
@@ -250,14 +251,16 @@ def test_certificate_cache_refuses_negative_bound():
 
 
 def test_root_search_budget(monkeypatch):
-    # T + tau: candidates 1/1 and T/1, neither a root; the second passes
-    # a budget of one
-    gpoly = SkewPoly(Q3, (Q3.T(), Q3.one))
-    assert linearized_roots_in_Q(gpoly) == []
-    monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 1)
+    # W kills exactly the a in A with deg a <= 1: its kernel mod the first
+    # prime has (3^2 - 1) / 2 = 4 lines, and the budget caps the lines that
+    # are reconstructed
+    W = a_part_kernel_poly(Q3, 1)
+    monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 4)
+    assert len(linearized_roots_in_Q(W)) == 8
+    monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 3)
     with pytest.raises(BudgetExceeded) as err:
-        linearized_roots_in_Q(gpoly)
-    assert err.value.budget == "root candidates" and err.value.value == 1
+        linearized_roots_in_Q(W)
+    assert err.value.budget == "reconstructed lines" and err.value.value == 3
 
 
 def _base_module_in_Q(rng, K):

@@ -661,6 +661,25 @@ def test_of_order_takes_the_first_modulus_of_the_scan(q, p, d):
     assert fq.modulus == _scanned_modulus(p, d)
 
 
+def test_of_order_tests_each_modulus_once(monkeypatch):
+    tested = []
+    rabin = ResidueField.is_field
+
+    def record(self):
+        tested.append(tuple(int(c) for c in self.P.array))
+        return rabin(self)
+
+    monkeypatch.setattr(ResidueField, "is_field", record)
+    for q in (9, 27, 125):
+        del tested[:]
+        fq = Fq.of_order(q)
+        # one Rabin test per candidate of the scan, ending at the modulus
+        assert len(tested) == len(set(tested)) and tested[-1] == fq.modulus
+        ref = Fq(fq.p, fq.modulus)
+        for name in ("_red", "_exp", "_log"):
+            assert np.array_equal(getattr(fq, name), getattr(ref, name))
+
+
 def test_of_order_of_a_prime_is_the_prime_field():
     for p in (2, 3, 65521):
         fq = Fq.of_order(p)
