@@ -97,8 +97,8 @@ def random_tails(name):
     field = FIELDS[name]()
     fq = field.fq
     rng = random.Random(name)
-    # two planted roots over F_9 or F_5 give cleared coefficients the old
-    # walk takes minutes to factor and walk
+    # two planted roots over F_9 give cleared coefficients that the old
+    # walk took more than a minute to factor and walk
     most = 2 if fq.q == 3 else 1
     for trial in range(12):
         roots = []
