@@ -26,6 +26,7 @@ Matrices over F_q multiply the same way, by integer products of F_p digits
 (`Fq.arr_matmul`); `ResidueField`, the one arithmetic in A/(P) for a monic
 P, does all its work with them, Frobenius from T^q by squaring.  A/(P) is
 a field exactly when `is_field` holds; factorization in A computes in it.
+Linear algebra over F_q is one incremental elimination, `row_relations`.
 """
 from __future__ import annotations
 
