@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the unchanged benchmark, into one file.
 
-    python3 scripts/bench_pairs.py --parent REV [--change REV] [--pairs 10]
-        [--workloads cm,isogeny,orbits] [--seed 1] [--seconds 30]
-        [--trace isogeny] [--out BENCH.json] [--note TEXT]
+    python3 scripts/bench_pairs.py --parent REV [--change REV]
+        [--workloads cm,isogeny,orbits] [--seed 1] [--trace isogeny]
+        [--out BENCH.json] [--note TEXT]
 
 Each side is the committed tree of its revision, extracted with
 `git archive` into its own directory, so neither sees uncommitted files or
-the other's `perfbench/out/`.  Pair i runs every workload once on each
-side, `perfbench/run.py --workload W --seed S --seconds T --trace 0`; the
-parent runs first in even pairs and the change first in odd ones.  Then
+the other's `perfbench/out/`.  Each of PAIRS pairs runs every workload
+once on each side, `perfbench/run.py --workload W --seed S --trace 0`,
+for the run length the benchmark sets itself; the parent runs first in
+even pairs and the change first in odd ones.  Then
 each side runs `--trace 1` once per workload named by --trace, and its
 per-layer counts are kept.
 
@@ -32,6 +33,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "peak_rss_mb")
+PAIRS = 10
 
 
 def _git(*args):
@@ -52,11 +54,10 @@ def _checkout(rev, dest):
     return dest
 
 
-def _run(tree, workload, seed, seconds, trace):
+def _run(tree, workload, seed, trace):
     """The JSON object on the last line of run.py's stdout."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -91,10 +92,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default="cm,isogeny,orbits")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", default="isogeny",
                         help="workloads to trace once per side ('' for none)")
     parser.add_argument("--out", default="BENCH.json")
@@ -111,10 +110,9 @@ def main(argv=None):
         "change": args.note, "parent": revs["parent"],
         "change_rev": revs["change"],
         "method": (f"python3 perfbench/run.py --workload W --seed "
-                   f"{args.seed} --seconds {args.seconds} --trace 0, "
-                   f"unchanged, from the committed files of each revision "
-                   f"(git archive), {args.pairs} pairs, the side that runs "
-                   f"first alternating by pair; workloads "
+                   f"{args.seed} --trace 0, unchanged, from the committed "
+                   f"files of each revision (git archive), {PAIRS} pairs, "
+                   f"the side that runs first alternating by pair; workloads "
                    f"{', '.join(workloads)} in that order within a pair"),
         "metric_direction": "lower is better for every metric",
         "bounds": bounds,
@@ -125,12 +123,12 @@ def main(argv=None):
         trees = {side: _checkout(rev, os.path.join(work, side))
                  for side, rev in revs.items()}
         pairs = {w: [] for w in workloads}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in workloads:
                 row = {"pair": i, "first": order[0]}
                 for side in order:
-                    res = _run(trees[side], w, args.seed, args.seconds, 0)
+                    res = _run(trees[side], w, args.seed, 0)
                     row[side] = {k: v["value"]
                                  for k, v in res["metrics"].items()}
                     row[side].update(attempted=res["attempted"],
@@ -147,8 +145,8 @@ def main(argv=None):
                 "command": f"python3 perfbench/run.py --workload {w} "
                            f"--seed {args.seed} --trace 1",
                 **{side: {k: v["value"] for k, v in _run(
-                    trees[side], w, args.seed, args.seconds, 1)
-                    ["metrics"].items()} for side in revs}}
+                    trees[side], w, args.seed, 1)["metrics"].items()}
+                   for side in revs}}
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=1)
         handle.write("\n")

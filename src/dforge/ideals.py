@@ -259,15 +259,14 @@ def divisors_in_degree_order(f, cap=None):
                     )
 
 
-def coprime_fractions(trailing, leading, budget=None, cap=None):
+def coprime_fractions(trailing, leading, cap=None):
     """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
 
     These are the candidates u/v of the rational root theorem over the PID
     A, up to a unit of F_q.  Pairs come in nondecreasing deg u + deg v, by
     a heap walk over the indices of two lazy divisor streams, so small
     fractions come first and an early-stopping consumer never fetches
-    divisors beyond the frontier.  Popping more than `budget` pairs,
-    coprime or not, raises BudgetExceeded; `cap` bounds each divisor set.
+    divisors beyond the frontier.  `cap` bounds each divisor set.
     """
     u_gen = divisors_in_degree_order(trailing, cap)
     v_gen = divisors_in_degree_order(leading, cap)
@@ -284,7 +283,6 @@ def coprime_fractions(trailing, leading, budget=None, cap=None):
 
     heap = [(0, 0, 0)]
     visited = {(0, 0)}
-    tested = 0
     while heap:
         _, iu, iv = heapq.heappop(heap)
         u = fetch(u_cache, u_gen, iu)
@@ -297,9 +295,6 @@ def coprime_fractions(trailing, leading, budget=None, cap=None):
             if nu is not None and nv is not None:
                 visited.add((niu, niv))
                 heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
-        tested += 1
-        if budget is not None and tested > budget:
-            raise BudgetExceeded("root candidates", budget)
         if u.gcd(v).is_one():
             yield u, v
 

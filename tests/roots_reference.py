@@ -5,8 +5,10 @@ It finds the roots in Q by the rational root theorem: it factors the
 trailing and leading cleared coefficients and walks their coprime divisor
 pairs (`ideals.coprime_fractions`), testing each F_q-line once, and stops
 when `stop_dim` is met.  `linearized_roots_in_Q` and `_lin_eval_is_zero`
-are verbatim, but for one call: `RatFunc.qth_root`, which only this search
-used, left the program with it and is `_qth_root` below.
+are verbatim, but for two calls: `RatFunc.qth_root`, which only this
+search used, left the program with it and is `_qth_root` below, and the
+walk runs without the budget of 2,000,000 candidates that
+`coprime_fractions` no longer takes (no test comes near it).
 """
 from __future__ import annotations
 
@@ -16,10 +18,6 @@ from dforge.errors import DivisionByZero, UnsupportedField
 from dforge.fields import PolyA, RatFunc, primitive_numerators
 from dforge.ideals import coprime_fractions
 from dforge.skew import skew_eval
-
-# candidates linearized_roots_in_Q may test before it gives up
-ROOT_CANDIDATE_BUDGET = 2_000_000
-
 
 def _poly_qth_root(p):
     """Exact q-th root of a PolyA, or None when it is not a q-th power."""
@@ -96,8 +94,7 @@ def linearized_roots_in_Q(gpoly, extra=(), stop_dim=None):
             vpow_cache[v] = [vq[m] // vq[i] for i in range(m + 1)]
         return vpow_cache[v]
 
-    for u, v in coprime_fractions(cleared[0], cleared[-1],
-                                  budget=ROOT_CANDIDATE_BUDGET):
+    for u, v in coprime_fractions(cleared[0], cleared[-1]):
         if not _lin_eval_is_zero(cleared, u, vpows_for(v)):
             continue
         root = q_power_root(RatFunc.make(u, v), val)

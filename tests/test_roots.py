@@ -213,20 +213,22 @@ def test_tails_of_positive_tau_valuation():
 def test_one_intertwiner_is_checked_per_line(monkeypatch):
     rng = random.Random(5)
     phi, psi, mu, _ = rotation_pair(rng, Q3)
-    builds = []
-    build = drinfeld.build_intertwiner
+    checked = []
+    mul = SkewPoly.__mul__
 
-    def count(*args):
-        builds.append(args[-1])
-        return build(*args)
+    def count(self, other):
+        if other is phi.phiT:
+            checked.append(self)
+        return mul(self, other)
 
-    monkeypatch.setattr(drinfeld, "build_intertwiner", count)
+    monkeypatch.setattr(SkewPoly, "__mul__", count)
     space = intertwiner_space(phi, psi, mu.deg)
-    # one line, {mu, 2 mu}: one intertwiner built and checked, one scaled
-    assert len(space) == 2 and len(builds) == 1
+    # one line, {mu, 2 mu}: both built, the one of constant lead 1 checked
+    assert len(space) == 2 and len(checked) == 1
+    assert drinfeld._lead_scalar(checked[0].constant()) == Q3.fq.one
     assert {u.monic() for u in space} == {mu.monic()}
     for u in space:
-        assert u * phi.phiT == psi.phiT * u
+        assert mul(u, phi.phiT) == psi.phiT * u
 
 
 def test_root_search_walks_no_divisors():
