@@ -32,15 +32,16 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (RatFunc, ResidueElem, ResidueField, cleared_numerators,
-                     primitive_numerators, row_relations, shifted_sum)
+                     monic_polys, primitive_numerators, row_relations,
+                     shifted_sum)
 from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
                    skew_eval)
 
 # lines of kernels mod P that linearized_roots_in_Q may reconstruct before
-# it gives up, and the degree of its first prime.  Below 6, some tails of
-# pairs with no isogeny have no kernel at the first prime, so no line is
-# reconstructed and the budget is never reached: the CLI test of a zero
-# budget (test_cli.py) needs its document's one spurious line at degree 6.
+# it gives up, and the degree of its first prime.  At degree 4 and below, a
+# kernel mod P often has a spurious dimension (23 of the 72 searches of the
+# `isogeny` workload's seeds 1-3 at degree 4), and each costs a second
+# prime; at 5, 6 and 7 none had one, and 6 keeps a degree of margin.
 ROOT_CANDIDATE_BUDGET = 20_000
 _ROOT_PRIME_DEGREE = 6
 
@@ -409,26 +410,20 @@ def _exact_dimension(field, tails, bound):
 
 def _residue_primes(field, degree):
     """Candidates (P, s) in a fixed order: s runs over the monic polynomials
-    of A by degree, then coefficients, from degree ceil(degree / e); P is
+    of A in packed order (`monic_polys`) from degree ceil(degree / e); P is
     the monic part of L f(s), L the common denominator of f's coefficients,
     kept when deg P >= degree and P is prime to L.  Then s mod P is a root
     of f mod P, so x -> s is a ring map from the P-integral elements of K
     onto A/P (for e = 1, f = x and P = s).  P may still be reducible."""
     fq = field.fq
-    q = fq.q
     cleared, den = cleared_numerators(fq, field.f)
-    k = max(1, -(-degree // field.e))
-    while True:
-        for index in range(q ** k):
-            s = fq.poly([fq.elem_packed(index // q ** i % q) for i in range(k)]
-                        + [fq.one])
-            val = fq.poly_zero
-            for c in reversed(cleared):
-                val = val * s + c
-            P = val.monic()
-            if P.degree >= degree and P.gcd(den).is_one():
-                yield P, s
-        k += 1
+    for s in monic_polys(fq, max(1, -(-degree // field.e))):
+        val = fq.poly_zero
+        for c in reversed(cleared):
+            val = val * s + c
+        P = val.monic()
+        if P.degree >= degree and P.gcd(den).is_one():
+            yield P, s
 
 
 def _has_root(P):
@@ -446,6 +441,16 @@ def _has_root(P):
         if acc == 0:
             return True
     return False
+
+
+def _prime_residues(P):
+    """A/P when the monic P is irreducible, else None: the one screen of
+    candidate primes.  A candidate with a root in F_q (`_has_root`) or a
+    repeated factor is dropped before Rabin's test."""
+    if _has_root(P) or not P.gcd(P.derivative()).is_one():
+        return None
+    F = ResidueField(P.field, P)
+    return F if F.is_field() else None
 
 
 def _reduce_tails(F, tails, s):
@@ -497,8 +502,7 @@ def _modular_dimension(field, tails, bound, residue_degree):
     dimension far more often.  Primes of degree <= bound divide some
     T^(q^i) - T, i <= bound, a factor of the closure's denominators, and
     usually of the tails' leads: those are skipped.  A reducible candidate
-    is dropped unrecorded, first by its roots in F_q (`_has_root`), then by
-    Rabin's test.
+    is dropped unrecorded (`_prime_residues`).
     """
     expected = bound // 2 + 1
     t1 = tails[0]
@@ -508,10 +512,8 @@ def _modular_dimension(field, tails, bound, residue_degree):
     candidates = _residue_primes(field, residue_degree)
     for _ in range(_PRIME_CANDIDATE_BUDGET):
         P, s = next(candidates)
-        if _has_root(P):
-            continue
-        F = ResidueField(field.fq, P)
-        if not F.is_field():
+        F = _prime_residues(P)
+        if F is None:
             continue
         reduced = _reduce_tails(F, tails, s)
         if reduced is None or reduced[0][v1].is_zero() \
@@ -533,33 +535,27 @@ def _modular_dimension(field, tails, bound, residue_degree):
     return None, tuple(primes)
 
 
-def _lin_eval_is_zero(cleared, u, vpows):
-    """sum_i C_i u^(q^i) v^(q^m - q^i) == 0, evaluated in A."""
-    fq = u.field
-    acc = fq.poly_zero
+def _lin_eval_is_zero(cleared, u, v):
+    """sum_i C_i u^(q^i) v^(q^m - q^i) == 0, evaluated in A, m = len(cleared)
+    - 1: the cleared constraint at u/v, times v^(q^m)."""
+    vq = [v]
+    for _ in range(len(cleared) - 1):
+        vq.append(vq[-1].frob_power(1))
+    acc = u.field.poly_zero
     for i, c in enumerate(cleared):
-        if c.is_zero():
-            continue
-        acc = acc + c * u.frob_power(i) * vpows[i]
+        if not c.is_zero():
+            acc = acc + c * u.frob_power(i) * (vq[-1] // vq[i])
     return acc.is_zero()
 
 
 def _root_prime(fq, n, avoid):
-    """A/P for the first monic irreducible P of degree >= n, by degree,
-    then by its low coefficients read as base-q digits counting up from 0,
-    that divides no polynomial in `avoid`.  Candidates with a root in F_q
-    or a repeated factor are dropped before Rabin's test."""
-    q = fq.q
-    while True:
-        for index in range(q ** n):
-            P = fq.poly([fq.elem_packed(index // q ** i % q)
-                         for i in range(n)] + [fq.one])
-            if _has_root(P) or not P.gcd(P.derivative()).is_one():
-                continue
-            F = ResidueField(fq, P)
-            if F.is_field() and not any(a.is_zero() for a in F.reduce(avoid)):
-                return F
-        n += 1
+    """A/P for the first monic irreducible P of degree >= n in packed order
+    (`monic_polys`, `_prime_residues`) that divides no polynomial in
+    `avoid`."""
+    for P in monic_polys(fq, n):
+        F = _prime_residues(P)
+        if F is not None and not any(a.is_zero() for a in F.reduce(avoid)):
+            return F
 
 
 def _reconstruct(P, r, k):
@@ -589,8 +585,9 @@ def linearized_roots_in_Q(gpoly, extra=(), known=()):
     constraints on A/P, of F_q-dimension d, comes from one elimination over
     F_q (`ResidueField.linearized_matrices`, `fields.row_relations`).  Each
     F_q-line of K_P is lifted by rational reconstruction (`_reconstruct`)
-    and checked exactly: `gpoly` cleared in A (`_lin_eval_is_zero`), every
-    other constraint by `skew_eval`.
+    and checked exactly, once, on every cleared constraint in A
+    (`_lin_eval_is_zero`): a cleared constraint vanishes at u/v exactly
+    when the constraint does.
 
     Lemma.  Let s be the tau-valuation of `gpoly`.  A root u/v in lowest
     terms has u | C_s and v | C_m: times v^(q^m), the equation gives
@@ -626,18 +623,7 @@ def linearized_roots_in_Q(gpoly, extra=(), known=()):
     tails = [cleared] + [cleared_numerators(fq, [c.as_rat() for c in t.coeffs])[0]
                          for t in extra]
     low, high = cleared[gpoly.tau_valuation()], cleared[-1]
-    m = len(cleared) - 1
     n, tried = _ROOT_PRIME_DEGREE, 0
-    vpow_cache = {}
-
-    def vpows_for(v):
-        if v not in vpow_cache:
-            vq = [v]
-            for _ in range(m):
-                vq.append(vq[-1].frob_power(1))
-            vpow_cache[v] = [vq[m] // vq[i] for i in range(m + 1)]
-        return vpow_cache[v]
-
     q = fq.q
     lines = []
     while True:
@@ -656,10 +642,9 @@ def linearized_roots_in_Q(gpoly, extra=(), known=()):
         for k in range(len(basis)):
             for index in range(q ** k, 2 * q ** k):
                 root = _reconstruct(F.P, _combination(fq, basis, index), deg_u)
-                if root is not None and _lin_eval_is_zero(
-                        cleared, root.num, vpows_for(root.den)) and all(
-                        skew_eval(t, field.from_rat(root)).is_zero()
-                        for t in extra):
+                if root is not None and all(
+                        _lin_eval_is_zero(C, root.num, root.den)
+                        for C in tails):
                     lines.append(root)
         if len(lines) == count or F.n > low.degree + high.degree:
             break

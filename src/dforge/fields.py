@@ -27,11 +27,12 @@ Matrices over F_q multiply the same way, by integer products of F_p digits
 P, does all its work with them, Frobenius from T^q by squaring.  A/(P) is
 a field exactly when `is_field` holds; factorization in A computes in it.
 Linear algebra over F_q is one incremental elimination, `row_relations`.
+Candidates in A, for a modulus of F_q or a prime of A/P, come from one
+scan in packed order, `monic_polys`.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -81,6 +82,18 @@ def is_irreducible(f):
     if f.is_zero() or f.degree < 1:
         return False
     return ResidueField(f.field, f.monic()).is_field()
+
+
+def monic_polys(fq, n):
+    """Yield the monic polynomials of A of degree n, n + 1, ... in packed
+    order: by degree, then by the low coefficients read as base-q digits
+    counting up from 0.  The one scan of candidates in A."""
+    q = fq.q
+    while True:
+        for index in range(q ** n):
+            yield PolyA(fq, np.array([index // q ** i % q for i in range(n)]
+                                     + [1], dtype=np.int64))
+        n += 1
 
 
 class Fq:
@@ -133,21 +146,20 @@ class Fq:
     @classmethod
     def of_order(cls, q):
         """F_q for a prime power q <= 65,536 (ValueError otherwise), defined
-        by the first monic irreducible of degree d whose low coefficients,
-        read as base-p digits, count up from 0.  Each candidate gets one
-        Rabin test, and the field is built from the rows of the one that
-        passes."""
+        by the first monic irreducible of degree d over F_p in packed order
+        (`monic_polys`).  Each candidate gets one Rabin test, and the field
+        is built from the rows of the one that passes."""
         p, d = split_prime_power(q)
         fp = cls(p)
         if d == 1:
             return fp
-        # every degree has a monic irreducible, so the scan returns
-        for digits in product(range(p), repeat=d):
-            modulus = digits[::-1] + (1,)
-            residues = ResidueField(fp, fp.poly(modulus))
+        # every degree has a monic irreducible, so the scan stops at degree d
+        for P in monic_polys(fp, d):
+            residues = ResidueField(fp, P)
             if residues.is_field():
                 field = cls.__new__(cls)
-                field._setup(p, modulus, residues._rows(2 * d - 1))
+                field._setup(p, tuple(map(int, P.array)),
+                             residues._rows(2 * d - 1))
                 return field
 
     def __repr__(self):
@@ -213,9 +225,6 @@ class Fq:
 
     def sneg(self, a):
         return self.smul(a, self.p - 1)
-
-    def ssub(self, a, b):
-        return self.sadd(a, self.sneg(b))
 
     def smul(self, a, b):
         if a == 0 or b == 0:
@@ -658,9 +667,6 @@ class FqElem:
 
     def __add__(self, other):
         return FqElem(self.field, self.field.sadd(self.val, other.val))
-
-    def __sub__(self, other):
-        return FqElem(self.field, self.field.ssub(self.val, other.val))
 
     def __neg__(self):
         return FqElem(self.field, self.field.sneg(self.val))

@@ -1,6 +1,7 @@
 """Ideals of A = F_q[T], polynomial factorization, and the one walk over
-candidates in A: divisors in degree order and the coprime fractions of the
-rational root theorem, for the roots in Q of polynomials over Q.
+candidates in A: the monic divisors in degree order, whose coprime pairs
+are the candidates of the rational root theorem for the roots in Q of
+polynomials over Q.
 
 A is a principal ideal domain: an ideal is stored by its monic generator
 and "divides" is polynomial divisibility.  Distinct- and equal-degree
@@ -10,7 +11,6 @@ factorizations are reproducible; the factor list is sorted canonically.
 """
 from __future__ import annotations
 
-import heapq
 import random
 
 from .errors import BudgetExceeded, ZeroIdeal, ZeroPolynomial
@@ -225,85 +225,32 @@ def factor_ideal(n, rng=None):
 
 
 def divisors_in_degree_order(f, cap=None):
-    """Yield the monic divisors of f in nondecreasing degree, lazily.
-
-    Heap walk over the exponent lattice of the factorization; only popped
-    divisors are materialized, so early-stopping consumers never touch the
-    full (possibly huge) divisor set.  With a cap, a divisor set larger
-    than cap raises BudgetExceeded before the first divisor.
+    """The monic divisors of f in nondecreasing degree, ties in the order
+    of their exponent vectors over the factorization (`factor_ideal`).
+    With a cap, a divisor set larger than cap raises BudgetExceeded before
+    any divisor is formed.
     """
     if f.is_zero():
         raise ZeroPolynomial("divisors of zero requested")
-    field = f.field
     facs = factor_ideal(IdealA(f))
     total = 1
     for _, mult in facs:
         total *= mult + 1
     if cap is not None and total > cap:
         raise BudgetExceeded("monic divisors", cap)
-    degs = [p.degree for p, _ in facs]
-    mults = [m for _, m in facs]
-    start = (0,) * len(facs)
-    heap = [(0, start, field.poly_one)]
-    seen = {start}
-    while heap:
-        deg, exps, poly = heapq.heappop(heap)
-        yield poly
-        for i in range(len(facs)):
-            if exps[i] < mults[i]:
-                nxt = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(
-                        heap, (deg + degs[i], nxt, poly * facs[i][0].gen)
-                    )
-
-
-def coprime_fractions(trailing, leading, cap=None):
-    """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
-
-    These are the candidates u/v of the rational root theorem over the PID
-    A, up to a unit of F_q.  Pairs come in nondecreasing deg u + deg v, by
-    a heap walk over the indices of two lazy divisor streams, so small
-    fractions come first and an early-stopping consumer never fetches
-    divisors beyond the frontier.  `cap` bounds each divisor set.
-    """
-    u_gen = divisors_in_degree_order(trailing, cap)
-    v_gen = divisors_in_degree_order(leading, cap)
-    u_cache = []
-    v_cache = []
-
-    def fetch(cache, gen, i):
-        while len(cache) <= i:
-            try:
-                cache.append(next(gen))
-            except StopIteration:
-                return None
-        return cache[i]
-
-    heap = [(0, 0, 0)]
-    visited = {(0, 0)}
-    while heap:
-        _, iu, iv = heapq.heappop(heap)
-        u = fetch(u_cache, u_gen, iu)
-        v = fetch(v_cache, v_gen, iv)
-        for niu, niv in ((iu + 1, iv), (iu, iv + 1)):
-            if (niu, niv) in visited:
-                continue
-            nu = fetch(u_cache, u_gen, niu)
-            nv = fetch(v_cache, v_gen, niv)
-            if nu is not None and nv is not None:
-                visited.add((niu, niv))
-                heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
-        if u.gcd(v).is_one():
-            yield u, v
+    divisors = [f.field.poly_one]
+    for prime, mult in facs:
+        powers = [prime.gen ** k for k in range(mult + 1)]
+        divisors = [d * pk for d in divisors for pk in powers]
+    return sorted(divisors, key=lambda d: d.degree)
 
 
 def rational_roots(coeffs):
     """All roots in Q of a nonzero polynomial with coefficients in Q.
 
     Clears denominators to a primitive polynomial over A and tests each
-    candidate xi*u/v of `coprime_fractions` exactly, xi in F_q^x.
+    candidate xi*u/v exactly, xi in F_q^x and u, v coprime monic divisors of
+    the trailing and leading coefficients.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():
@@ -332,10 +279,15 @@ def rational_roots(coeffs):
         return acc
 
     units = [field.elem_packed(xi) for xi in range(1, field.q)]
-    for u, v in coprime_fractions(cleared[0], cleared[-1], cap=_DIVISOR_CAP):
-        for xi in units:
-            cand = RatFunc(field, u.scale(xi), v)
-            if horner(cand).is_zero():
-                roots.append(cand)
+    trailing = divisors_in_degree_order(cleared[0], _DIVISOR_CAP)
+    leads = divisors_in_degree_order(cleared[-1], _DIVISOR_CAP)
+    for u in trailing:
+        for v in leads:
+            if not u.gcd(v).is_one():
+                continue
+            for xi in units:
+                cand = RatFunc(field, u.scale(xi), v)
+                if horner(cand).is_zero():
+                    roots.append(cand)
     roots.sort(key=lambda r: (r.den.degree, r.num.degree, repr(r)))
     return roots

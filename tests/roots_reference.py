@@ -3,21 +3,106 @@ kept as the reference for its differential test (test_roots.py).
 
 It finds the roots in Q by the rational root theorem: it factors the
 trailing and leading cleared coefficients and walks their coprime divisor
-pairs (`ideals.coprime_fractions`), testing each F_q-line once, and stops
-when `stop_dim` is met.  `linearized_roots_in_Q` and `_lin_eval_is_zero`
-are verbatim, but for two calls: `RatFunc.qth_root`, which only this
-search used, left the program with it and is `_qth_root` below, and the
-walk runs without the budget of 2,000,000 candidates that
-`coprime_fractions` no longer takes (no test comes near it).
+pairs (`coprime_fractions`), testing each F_q-line once, and stops when
+`stop_dim` is met.  `linearized_roots_in_Q` and `_lin_eval_is_zero` are
+verbatim, but for two calls: `RatFunc.qth_root`, which only this search
+used, left the program with it and is `_qth_root` below, and the walk runs
+without the budget of 2,000,000 candidates that `coprime_fractions` no
+longer took (no test comes near it).
+
+The walk is lazy: `divisors_in_degree_order` and `coprime_fractions` are
+the heap walks that `dforge.ideals` had, verbatim, since this is the one
+search that stops early.  `ideals.rational_roots` consumes every candidate
+and builds its divisors eagerly; a reference built on that would factor
+and multiply out every divisor of coefficients of degree up to 69.
 """
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from dforge.errors import DivisionByZero, UnsupportedField
+from dforge.errors import (BudgetExceeded, DivisionByZero, UnsupportedField,
+                           ZeroPolynomial)
 from dforge.fields import PolyA, RatFunc, primitive_numerators
-from dforge.ideals import coprime_fractions
+from dforge.ideals import IdealA, factor_ideal
 from dforge.skew import skew_eval
+
+
+def divisors_in_degree_order(f, cap=None):
+    """Yield the monic divisors of f in nondecreasing degree, lazily.
+
+    Heap walk over the exponent lattice of the factorization; only popped
+    divisors are materialized, so early-stopping consumers never touch the
+    full (possibly huge) divisor set.  With a cap, a divisor set larger
+    than cap raises BudgetExceeded before the first divisor.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("divisors of zero requested")
+    field = f.field
+    facs = factor_ideal(IdealA(f))
+    total = 1
+    for _, mult in facs:
+        total *= mult + 1
+    if cap is not None and total > cap:
+        raise BudgetExceeded("monic divisors", cap)
+    degs = [p.degree for p, _ in facs]
+    mults = [m for _, m in facs]
+    start = (0,) * len(facs)
+    heap = [(0, start, field.poly_one)]
+    seen = {start}
+    while heap:
+        deg, exps, poly = heapq.heappop(heap)
+        yield poly
+        for i in range(len(facs)):
+            if exps[i] < mults[i]:
+                nxt = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(
+                        heap, (deg + degs[i], nxt, poly * facs[i][0].gen)
+                    )
+
+
+def coprime_fractions(trailing, leading, cap=None):
+    """Yield the coprime monic pairs (u, v), u | trailing and v | leading.
+
+    These are the candidates u/v of the rational root theorem over the PID
+    A, up to a unit of F_q.  Pairs come in nondecreasing deg u + deg v, by
+    a heap walk over the indices of two lazy divisor streams, so small
+    fractions come first and an early-stopping consumer never fetches
+    divisors beyond the frontier.  `cap` bounds each divisor set.
+    """
+    u_gen = divisors_in_degree_order(trailing, cap)
+    v_gen = divisors_in_degree_order(leading, cap)
+    u_cache = []
+    v_cache = []
+
+    def fetch(cache, gen, i):
+        while len(cache) <= i:
+            try:
+                cache.append(next(gen))
+            except StopIteration:
+                return None
+        return cache[i]
+
+    heap = [(0, 0, 0)]
+    visited = {(0, 0)}
+    while heap:
+        _, iu, iv = heapq.heappop(heap)
+        u = fetch(u_cache, u_gen, iu)
+        v = fetch(v_cache, v_gen, iv)
+        for niu, niv in ((iu + 1, iv), (iu, iv + 1)):
+            if (niu, niv) in visited:
+                continue
+            nu = fetch(u_cache, u_gen, niu)
+            nv = fetch(v_cache, v_gen, niv)
+            if nu is not None and nv is not None:
+                visited.add((niu, niv))
+                heapq.heappush(heap, (nu.degree + nv.degree, niu, niv))
+        if u.gcd(v).is_one():
+            yield u, v
+
 
 def _poly_qth_root(p):
     """Exact q-th root of a PolyA, or None when it is not a q-th power."""

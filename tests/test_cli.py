@@ -12,7 +12,7 @@ from dforge.cli import cmd_example35, main
 from dforge.fields import Fq
 from dforge.extfield import ExtField
 from dforge.ideals import IdealA
-from dforge.randgen import random_fq_poly
+from dforge.randgen import random_fq_poly, rotation_pair
 from dforge.skew import SkewPoly
 from dforge.textform import (
     ideal_to_text,
@@ -322,9 +322,23 @@ def test_cli_negative_bounds_are_parse_errors(tmp_path):
     assert "unrecognized arguments: --certify-bound -1" in out.stderr
 
 
+def isogenous_doc():
+    """A pair over Q with an isogeny of tau-degree 1, searched at bound 1:
+    its line of roots lies in the kernel of the tails modulo every prime."""
+    phi, psi, mu, _ = rotation_pair(random.Random(1), rational_field(3))
+    return {
+        "field": {"p": 3},
+        "modules": {"phi": skew_to_text(phi.phiT),
+                    "psi": skew_to_text(psi.phiT)},
+        "params": {"source": "phi", "target": "psi", "bound": mu.deg},
+    }
+
+
 def test_cli_budget_exceeded_is_domain_error(tmp_path, monkeypatch, capsys):
     path = tmp_path / "job.json"
-    path.write_text(json.dumps(rational_doc()))
+    path.write_text(json.dumps(isogenous_doc()))
+    assert main(["find", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 0
     monkeypatch.setattr(drinfeld, "ROOT_CANDIDATE_BUDGET", 0)
     assert main(["find", "--in", str(path)]) == 2
     err = capsys.readouterr().err

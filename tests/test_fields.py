@@ -1041,6 +1041,47 @@ def test_candidate_walk_stays_in_ideals():
     assert hits == []
 
 
+def _digit_polys(tree):
+    """Calls of `poly` or `PolyA` whose arguments take base-q digits of an
+    integer, x // b % b."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name not in ("poly", "PolyA"):
+            continue
+        for arg in node.args:
+            for sub in ast.walk(arg):
+                if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod) \
+                        and isinstance(sub.left, ast.BinOp) \
+                        and isinstance(sub.left.op, ast.FloorDiv):
+                    yield node.lineno
+                    break
+
+
+def test_one_scan_of_candidates_and_no_heap():
+    # no module of src/ walks a heap, and only fields.py (`monic_polys`)
+    # builds polynomials from the base-q digits of a loop index
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "heapq" in names:
+                hits.append(f"{path.name}:{node.lineno}: imports heapq")
+        if path.name != "fields.py":
+            hits += [f"{path.name}:{no}: polynomial from digits"
+                     for no in _digit_polys(tree)]
+    assert hits == []
+
+
 def test_packed_layout_stays_in_fields():
     # only fields.py may read the packing of F_q values: its tables, its
     # digit helpers and its powers of p
