@@ -94,7 +94,10 @@ def run_example35():
 def main():
     import pytest
 
+    # the suite's subprocesses import the package from here too
     sys.path.insert(0, SRC)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     os.chdir(ROOT)
     entered = set()
     prefix = PACKAGE + os.sep
