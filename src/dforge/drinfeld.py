@@ -361,11 +361,10 @@ def certify_non_cm(module, bound):
     return NonCMCertificate(module, bound, expected, method, primes)
 
 
-def _kernel_dimension(field, tails, bound, residue_degree=None):
+def _kernel_dimension(field, tails, bound):
     """(dimension of the common kernel of the tails, method, primes tried).
 
-    `residue_degree` is the least [A/P : F_q] a modular prime may have;
-    2 bound + 2 by default (see `_modular_dimension`).
+    A modular prime has [A/P : F_q] >= 2 bound + 2 (see `_modular_dimension`).
     """
     for t in tails:
         if not _vanishes_on_a_part(t, bound // 2):
@@ -374,8 +373,7 @@ def _kernel_dimension(field, tails, bound, residue_degree=None):
             )
     if len(tails) == 1:
         return kernel_dimension(tails), "degrees", ()
-    dimension, primes = _modular_dimension(
-        field, tails, bound, residue_degree or 2 * bound + 2)
+    dimension, primes = _modular_dimension(field, tails, bound, 2 * bound + 2)
     if dimension is not None:
         return dimension, "modular", primes
     return _exact_dimension(field, tails, bound), "exact", primes
@@ -718,14 +716,14 @@ def _lead_scalar(c):
     return next(r for r in c.coords if not r.is_zero()).num.lc()
 
 
-def endo_search(module, bound, candidates=None):
+def endo_search(module, bound):
     """Spanning set of the endomorphisms of tau-degree <= bound.
 
     Always contains the phi_a with 2 deg a <= bound; anything further is
     CM evidence.
     """
-    space = intertwiner_space(module, module, bound, candidates)
-    if candidates is None and bound >= 2:
+    space = intertwiner_space(module, module, bound)
+    if bound >= 2:
         if module.phiT not in space:
             raise InternalInconsistency("endomorphism search missed phi_T")
     return space

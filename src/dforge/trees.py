@@ -3,6 +3,9 @@ Galois orbit from its per-prime distance matrices, find the Galois-fixed
 center, and run the classification pipeline producing the square-free ideal
 n and the involution assignment s -> m_s.
 
+Tree-ness is tested once, by realizing each metric in `validate_orbit`;
+`classify` reuses the realized trees.
+
 Trees are materialized with unit edges (every lattice point of the ambient
 p-isogeny tree on a spanned path is a vertex), so centers of odd-diameter
 subtrees are addressable edges.  Steiner vertices are the non-label
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
 from .errors import (
     AsymmetricMatrix,
@@ -70,6 +72,7 @@ class OrbitDatum:
     `metrics` maps each prime ideal to a symmetric integer matrix over the
     labels; `isogenies`, when present, maps ordered label-index pairs to
     concrete primitive isogenies and index 0 is the base conjugate.
+    `validate_orbit` fills `support` and `trees` (prime -> SubTree).
     """
 
     labels: tuple
@@ -79,13 +82,15 @@ class OrbitDatum:
     modules: tuple = ()
     validated: bool = False
     support: tuple = ()
+    trees: dict = dc_field(default_factory=dict)
 
 
 def validate_orbit(datum):
-    """Check symmetry, G-invariance, the triangle and four-point conditions.
+    """Check the local conditions, then realize each support prime's metric.
 
-    Returns the datum with `validated` set and the support (primes with a
-    nonzero matrix) recorded.
+    Shape, zero diagonal, symmetry, nonnegative entries and G-invariance are
+    checked entry by entry, tree-ness only by `reconstruct_subtree`.  Sets
+    `validated`, the support (primes with a nonzero matrix) and `trees`.
     """
     k = len(datum.labels)
     if datum.group.generators and len(datum.group.generators[0][2]) != k:
@@ -109,21 +114,15 @@ def validate_orbit(datum):
                         raise NotGInvariant(
                             f"metric at {p} is not invariant under {name}"
                         )
-        for i, j, l in combinations(range(k), 3):
-            if mat[i][j] > mat[i][l] + mat[l][j]:
-                raise NotTreeMetric("triangle inequality fails")
-        for quad in combinations(range(k), 4):
-            a, b, c, d = quad
-            s1 = mat[a][b] + mat[c][d]
-            s2 = mat[a][c] + mat[b][d]
-            s3 = mat[a][d] + mat[b][c]
-            top = sorted((s1, s2, s3))
-            if top[1] != top[2]:
-                raise NotTreeMetric("four-point condition fails")
         if any(mat[i][j] for i in range(k) for j in range(k)):
             support.append(p)
     datum.support = tuple(sorted(support, key=lambda q: (q.degree, repr(q))))
     datum.validated = True
+    try:
+        datum.trees = {p: reconstruct_subtree(datum, p) for p in datum.support}
+    except Exception:
+        datum.validated = False
+        raise
     return datum
 
 
@@ -148,21 +147,20 @@ class SubTree:
 
     vertices 0..n-1; `class_vertex[c]` is where label class c sits;
     `label_class` maps label index -> class index; `actions` maps each
-    generator name to the induced vertex permutation.
+    generator name to the induced vertex permutation; `dists[c][v]` is the
+    distance from class c to vertex v.
     """
 
-    adj: list
-    class_vertex: list
-    label_class: list
-    classes: list
+    adj: tuple
+    class_vertex: tuple
+    label_class: tuple
+    classes: tuple
     actions: dict
+    dists: tuple = ()
 
     @property
     def n_vertices(self):
         return len(self.adj)
-
-    def bfs(self, start):
-        return _bfs(self.adj, start)
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,9 @@ def reconstruct_subtree(datum, p):
 
     Iterative leaf insertion: each new class attaches at the unique vertex
     consistent with all previously placed classes, growing a chain of unit
-    edges; half-integer split points or inconsistent distances raise
-    NotTreeMetric.
+    edges, and must reproduce its distance to every placed class.  So the
+    metric is realized exactly when it is a tree metric with integral
+    Gromov products; otherwise NotTreeMetric is raised.
     """
     if not datum.validated:
         raise NotTreeMetric("orbit datum must be validated first")
@@ -214,7 +213,7 @@ def reconstruct_subtree(datum, p):
 
     adj = [[]]
     class_vertex = [0]
-    dists = {0: [0]}  # class index -> dist list over vertices
+    dists = [[0]]  # class index -> dist list over vertices
 
     for c in range(1, nc):
         placed = list(range(c))
@@ -254,7 +253,7 @@ def reconstruct_subtree(datum, p):
                 dists[u].append(dists[u][cur] + 1)
             cur = new
         class_vertex.append(cur)
-        dists[c] = _bfs(adj, cur)
+        dists.append(_bfs(adj, cur))
 
     # minimality: every terminal vertex carries a class
     class_set = set(class_vertex)
@@ -295,12 +294,14 @@ def reconstruct_subtree(datum, p):
                 raise InternalInconsistency("induced action breaks adjacency")
         actions[name] = tuple(vperm)
 
+    # stored as tuples: a classification keeps every tree and its distances
     return SubTree(
-        adj=adj,
-        class_vertex=class_vertex,
-        label_class=label_class,
-        classes=classes,
+        adj=tuple(map(tuple, adj)),
+        class_vertex=tuple(class_vertex),
+        label_class=tuple(label_class),
+        classes=tuple(map(tuple, classes)),
         actions=actions,
+        dists=tuple(map(tuple, dists)),
     )
 
 
@@ -366,18 +367,17 @@ def classify(datum, fq=None):
             raise InternalInconsistency("empty metric family needs a field hint")
     n = unit_ideal(fq)
     centers = {}
-    trees = {}
+    trees = datum.trees
     psi = {}
     psi_prime = {}
     for p in datum.support:
-        tree = reconstruct_subtree(datum, p)
+        tree = trees[p]
         center = tree_center(tree)
         for name in datum.group.names:
             if not _center_fixed(tree, center, name):
                 raise InternalInconsistency(
                     "center is not fixed by the induced action"
                 )
-        trees[p] = tree
         centers[p] = center
         if center.kind == "edge":
             n = n * p
@@ -426,10 +426,8 @@ def _orient_edge(tree, datum, a, b):
     vectors to classes listed in sorted-label order."""
     order = sorted(range(len(tree.classes)),
                    key=lambda c: str(datum.labels[tree.classes[c][0]]))
-    da = tree.bfs(a)
-    db = tree.bfs(b)
-    va = tuple(da[tree.class_vertex[c]] for c in order)
-    vb = tuple(db[tree.class_vertex[c]] for c in order)
+    va = tuple(tree.dists[c][a] for c in order)
+    vb = tuple(tree.dists[c][b] for c in order)
     return (a, b) if va <= vb else (b, a)
 
 
@@ -555,13 +553,11 @@ def materialize_center(datum, result, certificate_factory):
         primitive p-power isogeny from pi_p(base) reaching it."""
         # locate a label-class pair whose path contains the vertex
         nc = len(tree.classes)
-        dv = tree.bfs(vertex)
         for cx in range(nc):
+            dx = tree.dists[cx]
             for cy in range(nc):
-                vx, vy = tree.class_vertex[cx], tree.class_vertex[cy]
-                dxy = dv[vx] + dv[vy]
-                dd = tree.bfs(vx)[vy]
-                if dxy != dd:
+                dy = tree.dists[cy]
+                if dx[vertex] + dy[vertex] != dx[tree.class_vertex[cy]]:
                     continue
                 x = tree.classes[cx][0]
                 y = tree.classes[cy][0]
@@ -571,7 +567,7 @@ def materialize_center(datum, result, certificate_factory):
                 except NotRealizable:
                     continue
                 return _walk_to_vertex(
-                    p, leg_x, leg_y, dv[vx], factory
+                    p, leg_x, leg_y, dx[vertex], factory
                 )
         raise NotRealizable("center vertex lies outside concrete paths")
 

@@ -293,7 +293,13 @@ def test_root_screen_keeps_the_recorded_primes(monkeypatch):
             assert _modular_dimension(K, tails, 2, degree) == screened
 
 
-def test_forced_unlucky_primes_fall_back_to_the_exact_path():
+def _at_residue_degree(degree):
+    """`_modular_dimension` taking primes of residue degree `degree`."""
+    return lambda field, tails, bound, _: _modular_dimension(
+        field, tails, bound, degree)
+
+
+def test_forced_unlucky_primes_fall_back_to_the_exact_path(monkeypatch):
     # at bound 2, residue degree 3 instead of 6: primes of degree <= 2
     # divide the closure's leads and are skipped, and many of degree 3 give
     # too large a dimension; the exact path then decides, and refuses what
@@ -301,11 +307,12 @@ def test_forced_unlucky_primes_fall_back_to_the_exact_path():
     Q3 = rational_field(3)
     rng = random.Random(1)
     fallbacks = refusals = 0
+    monkeypatch.setattr(drinfeld, "_modular_dimension", _at_residue_degree(3))
     for i in range(24):
         phi = rotation_pair(rng, Q3, shift=i % 3)[0]
         tails = tails_of(phi, 2)
         exact = _exact_dimension(Q3, tails, 2)
-        dimension, method, primes = _kernel_dimension(Q3, tails, 2, 3)
+        dimension, method, primes = _kernel_dimension(Q3, tails, 2)
         assert dimension == exact
         marks = [v for _, v in primes]
         if marks.count("unlucky") == 2:
@@ -324,7 +331,9 @@ def test_forced_unlucky_primes_fall_back_to_the_exact_path():
         exact = _exact_dimension(K5, tails, 2)
         assert exact > 2
         for degree in (1, 2, 6):
-            assert _kernel_dimension(K5, tails, 2, degree)[:2] == (exact, "exact")
+            monkeypatch.setattr(drinfeld, "_modular_dimension",
+                                _at_residue_degree(degree))
+            assert _kernel_dimension(K5, tails, 2)[:2] == (exact, "exact")
 
 
 def test_certificates_avoid_the_skew_division(monkeypatch):

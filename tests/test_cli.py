@@ -176,6 +176,21 @@ def test_cli_classify_orbit(tmp_path):
     assert all(data["minimality"].values())
 
 
+def test_cli_refuses_a_document_with_a_non_tree_orbit(tmp_path):
+    # every command reads the orbits, and a metric that breaks a triangle
+    # inequality is refused there
+    doc = example_doc()
+    doc["orbits"] = {
+        "orb": {"labels": [0, 1, 2],
+                "metrics": {"(T)": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}}
+    }
+    out = run_cli(["degree"], doc, tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("domain error: NotTreeMetric")
+
+
 def test_cli_star_orbit(tmp_path):
     doc = example_doc()
     out = run_cli(["star-orbit"], doc, tmp_path)

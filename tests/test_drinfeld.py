@@ -14,6 +14,7 @@ from dforge.drinfeld import (
     descend_k_model,
     endo_search,
     frobenius_quotients,
+    intertwiner_space,
     j_invariant,
     linearized_roots_in_Q,
     make_module,
@@ -164,7 +165,7 @@ def test_endo_search_needs_candidates_over_extension():
         endo_search(phi, 2)
     # with candidates: recover the scalars
     cands = [K3.from_poly(F3.poly([c])) for c in range(1, 3)]
-    space = endo_search(phi, 0, candidates=cands)
+    space = intertwiner_space(phi, phi, 0, cands)
     assert len(space) == 2
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dforge
-from dforge import ideals
+from dforge import cli, ideals, trees
 from dforge.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -1226,6 +1226,64 @@ def test_verify_isogeny_is_called_only_from_the_cli():
                                              getattr(node.func, "attr", None))):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def test_tree_metrics_are_realized_only_in_validation():
+    # tree-ness has one test, the realization in validate_orbit; classify
+    # and materialize_center read the stored trees and class distances and
+    # walk no SubTree by BFS
+    callers, bfs = [], []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn, _ in _functions(tree):
+            callers += [f"{path.name}: {fn.name}" for node in _own_scope(fn)
+                        if isinstance(node, ast.Call)
+                        and "reconstruct_subtree" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))]
+        bfs += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "bfs"]
+    assert callers == ["trees.py: validate_orbit"]
+    assert bfs == [] and not hasattr(trees.SubTree, "bfs")
+
+
+def test_each_support_prime_is_realized_once(monkeypatch):
+    # one orbit: two swapped labels, two support primes and a prime with a
+    # zero metric
+    doc = {
+        "field": {"p": 3, "fq_modulus": None, "ext_minpoly": None,
+                  "galois": []},
+        "orbits": {"orb": {
+            "labels": [0, 1],
+            "generators": [{"name": "s", "order": 2, "permutation": [1, 0]}],
+            "metrics": {"(T)": [[0, 1], [1, 0]],
+                        "(1 + T)": [[0, 2], [2, 0]],
+                        "(2 + T)": [[0, 0], [0, 0]]},
+        }},
+        "params": {"orbit": "orb"},
+    }
+    realized = []
+    realize = trees.reconstruct_subtree
+
+    def spy(datum, p):
+        realized.append(p)
+        return realize(datum, p)
+
+    monkeypatch.setattr(trees, "reconstruct_subtree", spy)
+    ctx = cli.JobContext(doc)
+    out = cli.cmd_classify(ctx)
+    datum = ctx.param("orbit")
+    assert out["n"] == "(T)" and len(datum.support) == 2
+    assert realized == list(datum.support)
+    realized.clear()
+    fresh = trees.OrbitDatum(labels=datum.labels, group=datum.group,
+                             metrics=datum.metrics)
+    trees.validate_orbit(fresh)
+    assert realized == list(fresh.support)
+    result = trees.classify(fresh)
+    trees.minimality_check(fresh, result)
+    assert realized == list(fresh.support)
 
 
 def test_factor_ideal_checks_the_product(monkeypatch):

@@ -1,4 +1,5 @@
 """Orbit validation, metric tree realization, centers, classification."""
+import itertools
 import random
 
 import pytest
@@ -76,6 +77,94 @@ def test_validate_rejects_asymmetry_and_four_point():
         make_datum(cycle4)
 
 
+@pytest.mark.parametrize("mat", [
+    [[0, 1, 5], [1, 0, 1], [5, 1, 0]],     # D(0,2) > D(0,1) + D(1,2)
+    [[0, 0, 0], [0, 0, 4], [0, 4, 0]],     # D(1,2) > D(1,0) + D(0,2)
+])
+def test_validate_rejects_every_triangle_violation(mat):
+    with pytest.raises(NotTreeMetric):
+        make_datum(mat)
+
+
+def _is_tree_metric(mat, perms):
+    """Brute force: a symmetric nonnegative G-invariant matrix with zero
+    diagonal, every triangle inequality in every order, the four-point
+    condition on every quadruple and an even perimeter on every triple."""
+    k = len(mat)
+    idx = range(k)
+    if any(mat[i][i] or mat[i][j] != mat[j][i] or mat[i][j] < 0
+           for i in idx for j in idx):
+        return False
+    if any(mat[p[i]][p[j]] != mat[i][j] for _, _, p in perms
+           for i in idx for j in idx):
+        return False
+    for a, b, c in itertools.product(idx, repeat=3):
+        if mat[a][b] > mat[a][c] + mat[c][b]:
+            return False
+        if (mat[a][b] + mat[a][c] + mat[b][c]) % 2:
+            return False
+    for a, b, c, d in itertools.combinations(idx, 4):
+        sums = sorted((mat[a][b] + mat[c][d], mat[a][c] + mat[b][d],
+                       mat[a][d] + mat[b][c]))
+        if sums[1] != sums[2]:
+            return False
+    return True
+
+
+def _differential_cases(rng):
+    """Random symmetric matrices, tree metrics (some with an entry bumped
+    by +-1) and metrics invariant under a planted involution."""
+    for trial in range(3000):
+        kind = trial % 3
+        perms = []
+        if kind == 0:
+            k = rng.randrange(1, 6)
+            mat = [[0] * k for _ in range(k)]
+            for i, j in itertools.combinations(range(k), 2):
+                mat[i][j] = mat[j][i] = rng.randrange(-1, 5)
+            if k > 1 and rng.random() < 0.5:
+                swap = list(range(k))
+                i, j = rng.sample(range(k), 2)
+                swap[i], swap[j] = j, i
+                perms = [("s", 2, tuple(swap))]
+        elif kind == 1:
+            adj = random_tree(rng, 12)
+            k = rng.randrange(1, 7)
+            spots = [rng.randrange(len(adj)) for _ in range(k)]
+            mat = [[bfs_dist(adj, a)[b] for b in spots] for a in spots]
+            if k > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(k), 2)
+                mat[i][j] = mat[j][i] = mat[i][j] + rng.choice((-1, 1))
+        else:
+            mat, swap = mirror_orbit_metric(rng, odd=bool(trial % 2))
+            mat = [list(row) for row in mat]
+            perms = [("s", 2, swap)]
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(len(mat)), 2)
+                bump = rng.choice((-1, 1))
+                for a, b in {(i, j), (swap[i], swap[j])}:
+                    mat[a][b] = mat[b][a] = mat[a][b] + bump
+        yield tuple(tuple(row) for row in mat), perms
+
+
+def test_validate_agrees_with_the_brute_force_predicate():
+    rng = random.Random(331)
+    accepted = refused = 0
+    for mat, perms in _differential_cases(rng):
+        datum = OrbitDatum(labels=tuple(range(len(mat))),
+                           group=OrbitGroup(perms), metrics={P_T: mat})
+        try:
+            validate_orbit(datum)
+            ok = True
+        except (AsymmetricMatrix, NotGInvariant, NotTreeMetric):
+            ok = False
+        assert ok == _is_tree_metric(mat, perms), (mat, perms)
+        assert datum.validated == ok
+        accepted += ok
+        refused += not ok
+    assert accepted > 500 and refused > 500
+
+
 def test_validate_rejects_non_invariant_action():
     mat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
     with pytest.raises(NotGInvariant):
@@ -94,10 +183,10 @@ def test_reconstruct_edge_and_star():
 
 
 def test_reconstruct_rejects_half_integer_split():
-    # three points pairwise distance 1 cannot sit in a unit tree
-    d = make_datum([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    # three points pairwise distance 1 cannot sit in a unit tree; validation
+    # realizes the metric, so it refuses the orbit
     with pytest.raises(NotTreeMetric):
-        reconstruct_subtree(d, P_T)
+        make_datum([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_reconstruct_zero_distance_classes():
