@@ -185,8 +185,14 @@ def test_reconstruct_edge_and_star():
 def test_reconstruct_rejects_half_integer_split():
     # three points pairwise distance 1 cannot sit in a unit tree; validation
     # realizes the metric, so it refuses the orbit
+    mat = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     with pytest.raises(NotTreeMetric):
-        make_datum([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        make_datum(mat)
+    # and so does the realization itself, on a datum marked as validated
+    d = OrbitDatum(labels=(0, 1, 2), group=OrbitGroup([]),
+                   metrics={P_T: mat}, validated=True)
+    with pytest.raises(NotTreeMetric):
+        reconstruct_subtree(d, P_T)
 
 
 def test_reconstruct_zero_distance_classes():
