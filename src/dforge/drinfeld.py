@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -451,24 +452,26 @@ def _prime_residues(P):
     return F if F.is_field() else None
 
 
-def _reduce_tails(F, tails, s):
-    """The tails' coefficients mapped to A/P by x -> s, or None when a
-    coefficient's denominator vanishes mod P.
+def _prime_walk(field, tails, degree):
+    """The one walk over primes for the closure's tails: yield (P, F,
+    reduced) for each candidate (P, s) of `_residue_primes` from `degree`.
 
-    A coefficient sum_j (n_j / d_j) x^j with common denominator L maps to
-    N / L mod P, N = sum_j n_j (L / d_j) s^j (`ResidueField.reduce`).
+    `tails` are cleared: each a list of coefficients, each an e-tuple of
+    numerators in A.  F = A/P, or None when P is reducible
+    (`_prime_residues`).  `reduced` is the tails mapped to F by x -> s, by
+    one `ResidueField.reduce`, when P is good, else None: P is good when
+    the lead of tails[0] and its lowest nonzero coefficient are P-units.
     """
-    cleared = [cleared_numerators(F.fq, c.coords)
-               for t in tails for c in t.coeffs]
-    values = F.reduce([nums for nums, _ in cleared], s)
-    dens = [(i, L) for i, (_, L) in enumerate(cleared) if not L.is_one()]
-    if dens:
-        for (i, _), dv in zip(dens, F.reduce([L for _, L in dens])):
-            if dv.is_zero():
-                return None
-            values[i] = values[i] / dv
-    values = iter(values)
-    return [[next(values) for _ in t.coeffs] for t in tails]
+    v1 = next(i for i, c in enumerate(tails[0]) if any(c))
+    for P, s in _residue_primes(field, degree):
+        F = _prime_residues(P)
+        reduced = None
+        if F is not None:
+            values = iter(F.reduce([c for t in tails for c in t], s))
+            reduced = [[next(values) for _ in t] for t in tails]
+            if reduced[0][v1].is_zero() or reduced[0][-1].is_zero():
+                reduced = None
+        yield P, F, reduced
 
 
 def _modular_dimension(field, tails, bound, residue_degree):
@@ -479,18 +482,19 @@ def _modular_dimension(field, tails, bound, residue_degree):
     1997, for Ore polynomials).  Let x -> s be a ring map from the
     P-integral elements of K onto F = A/P (`_residue_primes`); reduction
     mod P commutes with the q-power map, so it is a ring map on P-integral
-    skew polynomials.  Let t1 = tails[0] = t1' tau^v, and suppose the lead
-    of t1 and its coefficient at tau^v are P-units and every coefficient of
-    both tails is P-integral.  Take a valuation ring above P in an algebraic
-    closure.  The roots of t1' are integral (t1' / lead is monic and
-    integral), their product is +-(coefficient at tau^v) / lead, a unit, so
-    each is a unit, and t1' mod P is separable (its derivative is the unit
-    coefficient at tau^v): reduction maps the roots of t1' injectively, and
-    with them the roots of t1, their q^v-th roots.  A common root of the
-    tails maps to a common root of the reduced pair, so the reduced right
-    gcd g has deg g - val g >= the exact dimension, which is >= bound // 2
-    + 1 once the tails vanish on the A-part (certify_non_cm).  A reduced
-    dimension of bound // 2 + 1 therefore proves the certificate.
+    skew polynomials.  Each tail times its common denominator has the same
+    kernel and P-integral coefficients; let P be good for these
+    (`_prime_walk`), and t1 = tails[0] = t1' tau^v.  Take a valuation ring
+    above P in an algebraic closure.  The roots of t1' are integral
+    (t1' / lead is monic and integral), their product is +-(coefficient at
+    tau^v) / lead, a unit, so each is a unit, and t1' mod P is separable
+    (its derivative is the unit coefficient at tau^v): reduction maps the
+    roots of t1' injectively, and with them the roots of t1, their q^v-th
+    roots.  A common root of the tails maps to a common root of the reduced
+    pair, so the reduced right gcd g has deg g - val g >= the exact
+    dimension, which is >= bound // 2 + 1 once the tails vanish on the
+    A-part (certify_non_cm).  A reduced dimension of bound // 2 + 1
+    therefore proves the certificate.
 
     A larger reduced dimension means CM or an unlucky prime: after
     `_MAX_GOOD_PRIMES` good primes, or `_PRIME_CANDIDATE_BUDGET`
@@ -499,23 +503,23 @@ def _modular_dimension(field, tails, bound, residue_degree):
     [F : F_q], so residue degrees below 2 bound + 2 give too large a
     dimension far more often.  Primes of degree <= bound divide some
     T^(q^i) - T, i <= bound, a factor of the closure's denominators, and
-    usually of the tails' leads: those are skipped.  A reducible candidate
-    is dropped unrecorded (`_prime_residues`).
+    usually of the tails' leads: those are not good, and are recorded as
+    skipped.  A reducible candidate is dropped unrecorded.
     """
     expected = bound // 2 + 1
-    t1 = tails[0]
-    v1 = t1.tau_valuation()
+    e = field.e
+    cleared = []
+    for t in tails:
+        nums, _ = cleared_numerators(
+            field.fq, [r for c in t.coeffs for r in c.coords])
+        cleared.append([tuple(nums[i: i + e]) for i in range(0, len(nums), e)])
     primes = []
     good = 0
-    candidates = _residue_primes(field, residue_degree)
-    for _ in range(_PRIME_CANDIDATE_BUDGET):
-        P, s = next(candidates)
-        F = _prime_residues(P)
+    walk = _prime_walk(field, cleared, residue_degree)
+    for P, F, reduced in islice(walk, _PRIME_CANDIDATE_BUDGET):
         if F is None:
             continue
-        reduced = _reduce_tails(F, tails, s)
-        if reduced is None or reduced[0][v1].is_zero() \
-                or reduced[0][-1].is_zero():
+        if reduced is None:
             primes.append((P, "skipped"))
             continue
         dimension = kernel_dimension([SkewPoly(F, t) for t in reduced])
@@ -544,16 +548,6 @@ def _lin_eval_is_zero(cleared, u, v):
         if not c.is_zero():
             acc = acc + c * u.frob_power(i) * (vq[-1] // vq[i])
     return acc.is_zero()
-
-
-def _root_prime(fq, n, avoid):
-    """A/P for the first monic irreducible P of degree >= n in packed order
-    (`monic_polys`, `_prime_residues`) that divides no polynomial in
-    `avoid`."""
-    for P in monic_polys(fq, n):
-        F = _prime_residues(P)
-        if F is not None and not any(a.is_zero() for a in F.reduce(avoid)):
-            return F
 
 
 def _reconstruct(P, r, k):
@@ -590,10 +584,10 @@ def linearized_roots_in_Q(gpoly, extra=(), known=()):
     Lemma.  Let s be the tau-valuation of `gpoly`.  A root u/v in lowest
     terms has u | C_s and v | C_m: times v^(q^m), the equation gives
     C_m u^(q^m) = 0 mod v, and C_s u^(q^s) v^(q^m - q^s) = 0 mod
-    u^(q^(s + 1)).  P is the first monic irreducible of degree n prime to
-    C_s C_m (`_root_prime`), so every root is P-integral, its residue lies
-    in K_P, and reduction is injective on the F_q-space of roots (a root
-    with P | u would need P | C_s).  So there are at most q^d - 1 nonzero
+    u^(q^(s + 1)).  P is the first good prime of degree >= n
+    (`_prime_walk`), so every root is P-integral, its residue lies in K_P,
+    and reduction is injective on the F_q-space of roots (a root with
+    P | u would need P | C_s).  So there are at most q^d - 1 nonzero
     roots, and the search is complete when the verified lines fill K_P,
     (q - 1) lines = q^d - 1.  Otherwise the next prime has degree 2n + 1.
     Once n > deg C_s + deg C_m, reconstruction with deg u <= deg C_s and
@@ -625,9 +619,11 @@ def linearized_roots_in_Q(gpoly, extra=(), known=()):
     q = fq.q
     lines = []
     while True:
-        F = _root_prime(fq, n, (low, high))
+        F, reduced = next((F, reduced) for _, F, reduced in _prime_walk(
+            field, [[(c,) for c in C] for C in tails], n)
+            if reduced is not None)
         basis = [ResidueElem(F, vec).lift() for _, vec in row_relations(
-            fq, np.hstack(F.linearized_matrices(tails)))]
+            fq, np.hstack(F.linearized_matrices(reduced)))]
         if len(basis) == len(known):
             break
         count = (q ** len(basis) - 1) // (q - 1)

@@ -1124,7 +1124,7 @@ class ResidueField:
         if root is None:
             return [ResidueElem(self, r) for r in self._reduce_rows(polys)]
         k, e, n = len(polys), len(polys[0]), self.n
-        powers = [root]
+        powers = [root] if e > 1 else []
         while len(powers) < e - 1:
             powers.append(powers[-1] * root)
         mats = self._reduce_rows([a for v in polys for a in v]
@@ -1152,25 +1152,25 @@ class ResidueField:
                 return False
         return True
 
-    def linearized_matrices(self, polys):
-        """For each coefficient list C_0, .., C_m in A, the n x n matrix over
-        F_q of c -> sum_i C_i c^(q^i) on A/P, row j the image of T^j.
+    def linearized_matrices(self, residues):
+        """For each list c_0, .., c_m of elements of A/P, the n x n matrix
+        over F_q of c -> sum_i c_i c^(q^i) on A/P, row j the image of T^j.
 
-        The products by every C_i come from one matrix product: row j of
-        C_i is C_i T^j, reduced by the rows T^k mod P.  The q-power maps
+        The products by every c_i come from one matrix product: row j of
+        c_i is c_i T^j, reduced by the rows T^k mod P.  The q-power maps
         act by the Frobenius rows, by Horner's rule in them.
         """
         fq, n = self.fq, self.n
-        coeffs = [c.array for cs in polys for c in cs]
-        width = n - 1 + max(len(c) for c in coeffs)
+        width = 2 * n - 1
+        coeffs = [c.vec for cs in residues for c in cs]
         shifted = np.zeros((len(coeffs), n, width), dtype=np.int64)
         for k, c in enumerate(coeffs):
             for j in range(n):
-                shifted[k, j, j: j + len(c)] = c
+                shifted[k, j, j: j + n] = c
         products = fq.arr_matmul(shifted.reshape(-1, width),
                                  self._rows(width)).reshape(-1, n, n)
         out, start = [], 0
-        for cs in polys:
+        for cs in residues:
             start += len(cs)
             acc = products[start - 1]
             for i in range(start - 2, start - len(cs) - 1, -1):

@@ -432,15 +432,16 @@ def _orient_edge(tree, datum, a, b):
 
 
 def minimality_check(datum, result):
-    """For each p | n: no vertex of the subtree is fixed by the full group
-    (so any ideal satisfying the parametrization is divisible by p).
+    """For each p | n, the primes whose center is an edge: no vertex of the
+    subtree is fixed by the full group (so any ideal satisfying the
+    parametrization is divisible by p).
 
     Violations are reported, not raised; a non-empty fixed set would mean
     an internal inconsistency between the center and the action.
     """
     report = {}
     for p in datum.support:
-        if not p.divides(result.n):
+        if result.centers[p].kind != "edge":
             continue
         tree = result.trees[p]
         fixed = []

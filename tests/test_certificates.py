@@ -27,6 +27,7 @@ from dforge.randgen import (
 )
 from dforge.skew import SkewPoly
 
+import roots_reference
 from helpers import brute_force_linear_factors, quadratic_field, rational_field
 
 
@@ -348,6 +349,59 @@ def test_certificates_avoid_the_skew_division(monkeypatch):
         certify_non_cm(phi, 4)
     for module in example35_modules(5):
         assert certify_non_cm(module, 2).method == "modular"
+
+
+# -- the one walk over primes ----------------------------------------------------
+
+def old_kernel_dimension(field, tails, bound):
+    """(dimension, method, primes) of two tails by the old walk, which
+    cleared each coefficient at every prime (roots_reference)."""
+    dimension, primes = roots_reference._modular_dimension(
+        field, tails, bound, 2 * bound + 2)
+    if dimension is not None:
+        return dimension, "modular", primes
+    return _exact_dimension(field, tails, bound), "exact", primes
+
+
+def test_certificates_against_the_old_walk():
+    # the example35 certificates at q = 3..11 and the K5cm refusals of the
+    # `cm` workload keep their dimension, method and primes
+    K5 = quadratic_field(5)
+    rng = random.Random(13)
+    modules = [module for q in (3, 5, 7, 9, 11)
+               for module in example35_modules(q)]
+    modules += [cm_module(K5, random_ext_elem(rng, K5, 1, nonzero=True))
+                for _ in range(4)]
+    methods = set()
+    for module in modules:
+        K = module.field
+        tails = tails_of(module, 2)
+        got = _kernel_dimension(K, tails, 2)
+        assert got == old_kernel_dimension(K, tails, 2)
+        methods.add(got[1])
+    assert methods == {"modular", "exact"}
+
+
+def test_module_with_denominators_is_certified():
+    # c phi_T c^-1 for c = T + 1 and for c the first good prime P: g and
+    # Delta have denominators, j is integral, so the two tails decide.
+    # The old walk skipped P, a denominator of some coefficient; the walk
+    # clears each tail once, and P is good for the cleared tails
+    phi = example35_modules(3)[0]
+    K = phi.field
+    P = first_prime(K, 2)
+    for c, old_first in ((K.fq.poly([1, 1]), "lucky"), (P, "skipped")):
+        c = K.from_poly(c)
+        twist = make_module(SkewPoly.from_scalar(c) * phi.phiT
+                            * SkewPoly.from_scalar(c.inverse()))
+        assert any(not r.den.is_one() for r in twist.g.coords)
+        assert j_integral(twist)
+        tails = tails_of(twist, 2)
+        cert = certify_non_cm(twist, 2)
+        assert cert.dimension == _exact_dimension(K, tails, 2) == 2
+        assert (cert.method, cert.primes) == ("modular", ((P, "lucky"),))
+        old = old_kernel_dimension(K, tails, 2)
+        assert old[:2] == (2, "modular") and old[2][0] == (P, old_first)
 
 
 # -- modular against exact -------------------------------------------------------

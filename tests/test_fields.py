@@ -1082,6 +1082,25 @@ def test_one_scan_of_candidates_and_no_heap():
     assert hits == []
 
 
+def test_one_walk_over_primes_in_drinfeld():
+    # in drinfeld.py only `_residue_primes` scans `monic_polys`, and only
+    # the walk over primes screens candidates with `_prime_residues`
+    tree = ast.parse(Path(dforge.__file__).with_name("drinfeld.py")
+                     .read_text())
+    callers = {"monic_polys": [], "_prime_residues": []}
+    defined = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            defined.add(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].append(fn.name)
+    assert callers == {"monic_polys": ["_residue_primes"],
+                       "_prime_residues": ["_prime_walk"]}
+    assert not defined & {"_root_prime", "_reduce_tails"}
+
+
 def test_packed_layout_stays_in_fields():
     # only fields.py may read the packing of F_q values: its tables, its
     # digit helpers and its powers of p
@@ -1481,6 +1500,7 @@ def test_residue_field_against_polynomials_mod_p(fq):
             # terms keeps the reference short over F_65521
             assert ra.frob() == F.reduce([(a % P).frob_power(1) % P])[0]
             assert F.reduce([(a, b)], root) == F.reduce([(a + b * root) % P])
+            assert F.reduce([(a,)], root) == [a_mod]
             if not ra.is_zero():
                 assert (ra * ra.inverse()).is_one()
                 assert (rb / ra) * ra == rb

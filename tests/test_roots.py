@@ -18,7 +18,8 @@ from dforge.drinfeld import (
     linearized_roots_in_Q,
     make_module,
 )
-from dforge.fields import Fq, RatFunc, primitive_numerators, row_relations
+from dforge.fields import (Fq, RatFunc, cleared_numerators,
+                           primitive_numerators, row_relations)
 from dforge.randgen import (
     random_ratfunc,
     random_skew,
@@ -63,31 +64,47 @@ def rat(field, num, den=(1,)):
     return RatFunc.make(fq.poly(list(num)), fq.poly(list(den)))
 
 
+def cleared_tails(tails):
+    """The tails cleared as the search clears them: the first to a primitive
+    vector over A, the others by their common denominator."""
+    fq = tails[0].field.fq
+    return [primitive_numerators(fq, [c.as_rat() for c in tails[0].coeffs])] \
+        + [cleared_numerators(fq, [c.as_rat() for c in t.coeffs])[0]
+           for t in tails[1:]]
+
+
+def first_good_prime(tails, n):
+    """(F, reduced) at the first good prime of the walk from degree n."""
+    cleared = [[(c,) for c in C] for C in cleared_tails(tails)]
+    walk = drinfeld._prime_walk(tails[0].field, cleared, n)
+    return next((F, reduced) for _, F, reduced in walk if reduced is not None)
+
+
+def kernel_basis(F, matrices):
+    """The basis of K_P that the search lifts, from its matrices."""
+    return [vec.tolist()
+            for _, vec in row_relations(F.fq, np.hstack(matrices))]
+
+
 def first_prime_dimension(tails):
     """(deg P, dim K_P) at the search's first prime."""
-    field = tails[0].field
-    fq = field.fq
-    cleared = [primitive_numerators(fq, [c.as_rat() for c in t.coeffs])
-               for t in tails]
-    low = cleared[0][tails[0].tau_valuation()]
-    F = drinfeld._root_prime(fq, drinfeld._ROOT_PRIME_DEGREE,
-                             (low, cleared[0][-1]))
-    rows = np.hstack(F.linearized_matrices(cleared))
-    return F.n, len(list(row_relations(fq, rows)))
+    F, reduced = first_good_prime(tails, drinfeld._ROOT_PRIME_DEGREE)
+    return F.n, len(kernel_basis(F, F.linearized_matrices(reduced)))
 
 
 @pytest.fixture
 def prime_degrees(monkeypatch):
     """The degrees of the primes the searches use, in order."""
     seen = []
-    choose = drinfeld._root_prime
+    walk = drinfeld._prime_walk
 
-    def record(fq, n, avoid):
-        F = choose(fq, n, avoid)
-        seen.append(F.n)
-        return F
+    def record(field, tails, degree):
+        for P, F, reduced in walk(field, tails, degree):
+            if reduced is not None:
+                seen.append(F.n)
+            yield P, F, reduced
 
-    monkeypatch.setattr(drinfeld, "_root_prime", record)
+    monkeypatch.setattr(drinfeld, "_prime_walk", record)
     return seen
 
 
@@ -126,6 +143,25 @@ def test_random_tails_against_the_divisor_walk(name):
         assert got == reference(tails)
         found += len(got)
     assert found
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_the_walk_against_the_old_prime_and_matrices(name):
+    # the first good prime of the walk is the old `_root_prime`, and the
+    # matrices of the residues give the basis of K_P that the old matrices
+    # of the cleared coefficients gave, at both degrees the search takes
+    for tails in random_tails(name):
+        cleared = cleared_tails(tails)
+        low = cleared[0][tails[0].tau_valuation()]
+        for n in (drinfeld._ROOT_PRIME_DEGREE,
+                  2 * drinfeld._ROOT_PRIME_DEGREE + 1):
+            old = roots_reference._root_prime(tails[0].field.fq, n,
+                                              (low, cleared[0][-1]))
+            F, reduced = first_good_prime(tails, n)
+            assert F.P == old.P
+            assert kernel_basis(F, F.linearized_matrices(reduced)) == \
+                kernel_basis(old, roots_reference.linearized_matrices(
+                    old, cleared))
 
 
 @pytest.mark.parametrize("make", ["rotation", "two-prime"])
