@@ -417,11 +417,11 @@ def _residue_primes(field, degree):
     fq = field.fq
     cleared, den = cleared_numerators(fq, field.f)
     for s in monic_polys(fq, max(1, -(-degree // field.e))):
-        val = fq.poly_zero
-        for c in reversed(cleared):
+        val = cleared[-1]
+        for c in reversed(cleared[:-1]):
             val = val * s + c
         P = val.monic()
-        if P.degree >= degree and P.gcd(den).is_one():
+        if P.degree >= degree and (den.is_one() or P.gcd(den).is_one()):
             yield P, s
 
 
