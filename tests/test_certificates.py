@@ -383,10 +383,11 @@ def test_certificates_against_the_old_walk():
 
 
 def test_module_with_denominators_is_certified():
-    # c phi_T c^-1 for c = T + 1 and for c the first good prime P: g and
-    # Delta have denominators, j is integral, so the two tails decide.
-    # The old walk skipped P, a denominator of some coefficient; the walk
-    # clears each tail once, and P is good for the cleared tails
+    # c phi_T c^-1 for c = T + 1 and for c = P, the first prime the
+    # modular search tries: g and Delta have denominators, j is integral,
+    # so the two tails decide.  The old walk skipped P, a denominator of
+    # some coefficient; the walk clears each tail once, and P is good for
+    # the cleared tails
     phi = example35_modules(3)[0]
     K = phi.field
     P = first_prime(K, 2)
