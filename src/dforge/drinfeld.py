@@ -191,8 +191,10 @@ def intertwiner_closure(phi, psi, bound):
     def embed(p):
         return field.from_poly(p)
 
+    # level bound + 1 is the first tail; the second keeps its own formula,
+    # as level bound + 2 would need D_(bound+1)
     slevels = [one]
-    for i in range(1, bound + 1):
+    for i in range(1, bound + 2):
         sm1 = slevels[i - 1]
         acc = (tau * sm1).scale_left(g2) \
             - sm1.scale_left(gpow[i - 1] * embed(quo[i - 1][0]))
@@ -203,14 +205,8 @@ def intertwiner_closure(phi, psi, bound):
                 - sm2.scale_left(dlpow[i - 2] * e_i * embed(quo[i - 2][1]))
         slevels.append(acc)
 
+    tail1 = slevels.pop()
     sN = slevels[bound]
-    tail1 = (tau * sN).scale_left(g2) \
-        - sN.scale_left(gpow[bound] * embed(quo[bound][0]))
-    if bound >= 1:
-        sN1 = slevels[bound - 1]
-        e_t = embed(binom[bound].frob_power(1))
-        tail1 = tail1 + (tau2 * sN1).scale_left(dl2 * e_t) \
-            - sN1.scale_left(dlpow[bound - 1] * e_t * embed(quo[bound - 1][1]))
     tail2 = (tau2 * sN).scale_left(dl2) \
         - sN.scale_left(dlpow[bound] * embed(quo[bound][1]))
     tails = [t for t in (tail1, tail2) if not t.is_zero()]

@@ -4,7 +4,10 @@ center, and run the classification pipeline producing the square-free ideal
 n and the involution assignment s -> m_s.
 
 Tree-ness is tested once, by realizing each metric in `validate_orbit`;
-`classify` reuses the realized trees.
+`classify` reuses the realized trees.  No tree is searched: a new class's
+distances follow from those of the two classes whose path it hangs from,
+the center is left by one pass of leaf pruning, and s swaps a center edge
+exactly when its exponents on the swapping generators sum to an odd number.
 
 Trees are materialized with unit edges (every lattice point of the ambient
 p-isogeny tree on a spanned path is a vertex), so centers of odd-diameter
@@ -14,7 +17,6 @@ degree 2.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -126,21 +128,6 @@ def validate_orbit(datum):
     return datum
 
 
-def _bfs(adj, start):
-    """Distances from start, -1 for unreachable vertices."""
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    dq = deque((start,))
-    while dq:
-        v = dq.popleft()
-        dv = dist[v]
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                dq.append(w)
-    return dist
-
-
 @dataclass
 class SubTree:
     """Unit-edge realization of one per-prime metric.
@@ -243,6 +230,11 @@ def reconstruct_subtree(datum, p):
         for u in placed:
             if dists[u][w] + h != D[c][u]:
                 raise NotTreeMetric("attachment violates a placed distance")
+        # d(w, v) = max(d(u0, v) - alpha, d(best_u, v) - (span - alpha)) as w
+        # lies on the u0-best_u path; the new chain lies at h - 1, ..., 0
+        new_dists = [h + max(a - best_alpha, b - span + best_alpha)
+                     for a, b in zip(d0, du)]
+        new_dists.extend(range(h - 1, -1, -1))
         cur = w
         for step in range(h):
             adj.append([])
@@ -253,7 +245,7 @@ def reconstruct_subtree(datum, p):
                 dists[u].append(dists[u][cur] + 1)
             cur = new
         class_vertex.append(cur)
-        dists.append(_bfs(adj, cur))
+        dists.append(new_dists)
 
     # minimality: every terminal vertex carries a class
     class_set = set(class_vertex)
@@ -306,29 +298,31 @@ def reconstruct_subtree(datum, p):
 
 
 def tree_center(tree):
-    """Midpoint of a diameter: a vertex for even diameter, else an edge.
+    """The center, by stripping every leaf layer by layer: one vertex is
+    left for an even diameter, one edge for an odd one.
 
-    Double sweep: x is farthest from vertex 0 and y farthest from x, so the
-    x-y path is a diameter.  Every diameter of a tree has the same midpoint
-    (Jordan), so the input is first checked to be a tree: connected, with
-    n - 1 edges.
+    A vertex reaches degree 1 once, so the last layer is what is left of a
+    tree.  A graph with n - 1 edges is a tree exactly when that holds, as
+    a cycle (a loop or a double edge included) is never stripped; any other
+    graph is refused.
     """
     adj = tree.adj
     n = len(adj)
-    d0 = _bfs(adj, 0)
-    if min(d0) < 0 or sum(len(nbrs) for nbrs in adj) != 2 * (n - 1):
+    degree = [len(nbrs) for nbrs in adj]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    while remaining > 2 and layer:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    if sum(map(len, adj)) != 2 * (n - 1) or len(layer) != remaining:
         raise InternalInconsistency("subtree is not a tree")
-    x = max(range(n), key=d0.__getitem__)
-    dx = _bfs(adj, x)
-    y = max(range(n), key=dx.__getitem__)
-    dy = _bfs(adj, y)
-    diameter, half = dx[y], dx[y] // 2
-    # the x-y path is the set of v with dx[v] + dy[v] == diameter
-    a = next(v for v in range(n) if dx[v] == half and dy[v] == diameter - half)
-    if diameter % 2 == 0:
-        return Center("vertex", (a,))
-    b = next(v for v in range(n) if dx[v] == half + 1 and dy[v] == half)
-    return Center("edge", tuple(sorted((a, b))))
+    return Center("vertex" if len(layer) == 1 else "edge", tuple(sorted(layer)))
 
 
 @dataclass
@@ -365,15 +359,17 @@ def classify(datum, fq=None):
             fq = next(iter(datum.metrics)).field
         else:
             raise InternalInconsistency("empty metric family needs a field hint")
+    group = datum.group
     n = unit_ideal(fq)
     centers = {}
     trees = datum.trees
     psi = {}
     psi_prime = {}
+    swapping = {}  # prime with an edge center -> generators swapping it
     for p in datum.support:
         tree = trees[p]
         center = tree_center(tree)
-        for name in datum.group.names:
+        for name in group.names:
             if not _center_fixed(tree, center, name):
                 raise InternalInconsistency(
                     "center is not fixed by the induced action"
@@ -383,31 +379,25 @@ def classify(datum, fq=None):
             n = n * p
             a, b = center.vertices
             psi[p], psi_prime[p] = _orient_edge(tree, datum, a, b)
+            swapping[p] = [i for i, name in enumerate(group.names)
+                           if tree.actions[name][a] == b]
         else:
             psi[p] = center.vertices[0]
             psi_prime[p] = center.vertices[0]
-    group = datum.group
-    vertex_maps = {p: [trees[p].actions[name].__getitem__ for name in group.names]
-                   for p in datum.support}
+    # every generator fixes or swaps each center edge, so an element swaps
+    # it exactly when the exponents of the swapping generators sum to odd
     m_elements = {}
     for element in group.elements():
         m = unit_ideal(fq)
-        for p in datum.support:
-            center = centers[p]
-            if center.kind != "edge":
-                continue
-            a, b = center.vertices
-            image = group.act(vertex_maps[p], element, a)
-            if image == b:
+        for p, gens in swapping.items():
+            if sum(element[i] for i in gens) % 2:
                 m = m * p
-            elif image != a:
-                raise InternalInconsistency("center edge not stabilized")
         m_elements[element] = m
     m_generators = {
-        name: m_elements[datum.group.generator_element(name)]
-        for name in datum.group.names
+        name: m_elements[group.generator_element(name)]
+        for name in group.names
     }
-    result = ClassificationResult(
+    return ClassificationResult(
         n=n,
         centers=centers,
         trees=trees,
@@ -416,9 +406,6 @@ def classify(datum, fq=None):
         m_elements=m_elements,
         m_generators=m_generators,
     )
-    if m_elements and m_elements[datum.group.identity()] != unit_ideal(fq):
-        raise InternalInconsistency("m_id is not the unit ideal")
-    return result
 
 
 def _orient_edge(tree, datum, a, b):

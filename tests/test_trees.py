@@ -1,8 +1,12 @@
 """Orbit validation, metric tree realization, centers, classification."""
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+
+import dforge
 
 from dforge.drinfeld import CertificateCache, conjugate_module, make_module
 from dforge.errors import (
@@ -41,6 +45,7 @@ from helpers import (
     quadratic_field,
     random_tree,
     spanned_subtree,
+    synthetic_orbit,
 )
 
 F3 = get_fq(3)
@@ -224,6 +229,26 @@ def test_reconstruct_random_vs_spanned_oracle():
         assert ahu_hash(t.adj, labels_out) == ahu_hash(sub, labels_or)
 
 
+def test_closed_form_dists_match_bfs():
+    # each realized class distance list is the BFS distance from its vertex,
+    # also with zero-distance classes and labels sitting on paths
+    rng = random.Random(302)
+    for _ in range(300):
+        adj = random_tree(rng, 30)
+        marked = [rng.randrange(len(adj))
+                  for _ in range(rng.randrange(1, 7))]
+        dists = {v: bfs_dist(adj, v) for v in marked}
+        mat = [[dists[a][b] for b in marked] for a in marked]
+        d = make_datum(mat)
+        if not d.support:
+            continue
+        t = reconstruct_subtree(d, P_T)
+        assert isinstance(t.dists, tuple)
+        for c, vertex in enumerate(t.class_vertex):
+            assert isinstance(t.dists[c], tuple)
+            assert list(t.dists[c]) == bfs_dist(t.adj, vertex)
+
+
 def test_tree_center_paths():
     d = make_datum([[0, 2], [2, 0]])
     t = reconstruct_subtree(d, P_T)
@@ -252,11 +277,40 @@ def test_tree_center_matches_pruning_oracle():
         assert got.kind == kind and tuple(sorted(got.vertices)) == verts
 
 
+def test_tree_center_is_the_minimum_eccentricity_set():
+    # brute force over all BFS distances on class-free random trees, one
+    # and two vertices included
+    rng = random.Random(304)
+    shapes = [[[]], [[1], [0]]] + [random_tree(rng, 30) for _ in range(300)]
+    for adj in shapes:
+        ecc = [max(bfs_dist(adj, v)) for v in range(len(adj))]
+        want = tuple(v for v in range(len(adj)) if ecc[v] == min(ecc))
+        got = tree_center(SubTree(adj=adj, class_vertex=(), label_class=(),
+                                  classes=(), actions={}))
+        assert got.vertices == want
+        assert got.kind == ("vertex" if len(want) == 1 else "edge")
+
+
 @pytest.mark.parametrize("adj", [
     [[1, 2], [0, 2], [0, 1]],          # a 3-cycle
     [[1], [0], [3], [2]],              # two disjoint edges
 ])
 def test_tree_center_rejects_non_trees(adj):
+    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
+                    actions={})
+    with pytest.raises(InternalInconsistency):
+        tree_center(graph)
+
+
+@pytest.mark.parametrize("adj", [
+    [[1, 2], [0, 2], [0, 1], []],      # a 3-cycle and an isolated vertex
+    [[1, 1], [0, 0], [3], [2]],        # a double edge and an edge
+    [[0, 0], []],                      # a loop and an isolated vertex
+    [[1, 2, 3], [0, 2], [0, 1], [0], [5], [4]],  # a cycle with a leaf
+])
+def test_tree_center_rejects_cycles_with_a_tree_edge_count(adj):
+    # n - 1 edges, but not a tree: the pruning must not name a center
+    assert sum(map(len, adj)) == 2 * (len(adj) - 1)
     graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
                     actions={})
     with pytest.raises(InternalInconsistency):
@@ -368,6 +422,81 @@ def test_m_map_composes_like_characters():
                 ms, mt = res.m_of(s), res.m_of(t)
                 g = ms.gcd(mt)
                 assert res.m_of(st) == (ms * mt).quotient(g * g)
+
+
+def _m_by_element_walk(datum, result, fq):
+    """Reference m-map: apply every group element to a center edge's first
+    endpoint through the generators' vertex maps."""
+    group = datum.group
+    m_elements = {}
+    for element in group.elements():
+        m = unit_ideal(fq)
+        for p in datum.support:
+            center = result.centers[p]
+            if center.kind != "edge":
+                continue
+            a, b = center.vertices
+            maps = [result.trees[p].actions[name].__getitem__
+                    for name in group.names]
+            image = group.act(maps, element, a)
+            assert image in (a, b), "center edge not stabilized"
+            if image == b:
+                m = m * p
+        m_elements[element] = m
+    return m_elements
+
+
+def test_m_map_of_a_z4_orbit_swapping_the_center_edge():
+    # labels 0, 2 hang from one end of the central edge and 1, 3 from the
+    # other; g = (0 1 2 3) swaps the ends, so g and g^3 swap the edge at T
+    # and g^2 fixes it.  At T + 1 the four labels hang from one vertex.
+    star = ((0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2), (2, 2, 2, 0))
+    datum = OrbitDatum(
+        labels=(0, 1, 2, 3),
+        group=OrbitGroup([("g", 4, (1, 2, 3, 0))]),
+        metrics={P_T: ((0, 3, 2, 3), (3, 0, 3, 2), (2, 3, 0, 3), (3, 2, 3, 0)),
+                 P_T1: star},
+    )
+    validate_orbit(datum)
+    res = classify(datum)
+    assert res.n == P_T
+    assert res.centers[P_T].kind == "edge"
+    assert res.centers[P_T1].kind == "vertex"
+    one = unit_ideal(F3)
+    assert res.m_elements == {(0,): one, (1,): P_T, (2,): one, (3,): P_T}
+    assert res.m_elements == _m_by_element_walk(datum, res, F3)
+    assert minimality_check(datum, res)[P_T]["ok"]
+
+
+def test_m_map_against_the_element_walk():
+    rng = random.Random(313)
+    pool = [P_T, P_T1, P_T2]
+    for _ in range(40):
+        gens, metrics, _, _, _ = synthetic_orbit(rng, pool)
+        datum = OrbitDatum(labels=tuple(range(len(gens[0][2]))),
+                           group=OrbitGroup(gens), metrics=metrics)
+        validate_orbit(datum)
+        res = classify(datum)
+        assert res.m_elements == _m_by_element_walk(datum, res, F3)
+
+
+def test_trees_searches_no_graph():
+    # trees.py defines no BFS and imports no deque, and `classify` reads
+    # m_s from swap parity rather than walking group elements
+    tree = ast.parse(Path(dforge.__file__).with_name("trees.py").read_text())
+    defined = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)}
+    assert "_bfs" not in defined
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not {name for name in imported if name.split(".")[-1] == "deque"}
+    classify_def = next(fn for fn in ast.walk(tree)
+                        if isinstance(fn, ast.FunctionDef)
+                        and fn.name == "classify")
+    assert not [node for node in ast.walk(classify_def)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "act"]
 
 
 def _worked_example_orbit():
