@@ -306,7 +306,7 @@ def test_tree_center_rejects_non_trees(adj):
     [[1, 2], [0, 2], [0, 1], []],      # a 3-cycle and an isolated vertex
     [[1, 1], [0, 0], [3], [2]],        # a double edge and an edge
     [[0, 0], []],                      # a loop and an isolated vertex
-    [[1, 2, 3], [0, 2], [0, 1], [0], [5], [4]],  # a cycle with a leaf
+    [[1, 2, 3], [0, 2], [0, 1], [0], [5], [4]],  # 3-cycle, leaf, edge
 ])
 def test_tree_center_rejects_cycles_with_a_tree_edge_count(adj):
     # n - 1 edges, but not a tree: the pruning must not name a center
