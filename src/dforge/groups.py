@@ -2,7 +2,7 @@
 
 An element is a tuple of exponents, one per generator.  The group acts on
 some set through one-step maps, one per generator; the Galois action on K
-and the action on an orbit's labels and trees are both of this form.
+and the action on an orbit's labels are both of this form.
 """
 from __future__ import annotations
 

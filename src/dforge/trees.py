@@ -9,6 +9,13 @@ distances follow from those of the two classes whose path it hangs from,
 the center is left by one pass of leaf pruning, and s swaps a center edge
 exactly when its exponents on the swapping generators sum to an odd number.
 
+No vertex permutation is built either.  A generator acts on a realized tree
+by the one automorphism extending its isometric permutation of the label
+classes, which keeps the center; it swaps a center edge (a, b) exactly when
+label 0's class and its image lie at different distances from a.  A
+generator swapping the edge fixes no vertex, so the group fixes a vertex,
+and minimality fails, exactly when no generator swaps it.
+
 Trees are materialized with unit edges (every lattice point of the ambient
 p-isogeny tree on a spanned path is a vertex), so centers of odd-diameter
 subtrees are addressable edges.  Steiner vertices are the non-label
@@ -59,12 +66,8 @@ class OrbitGroup(CyclicProduct):
                 raise NotGInvariant(f"generator {name} is not a permutation")
             if len(perm) != n:
                 raise NotGInvariant("permutation lengths differ")
-        self._maps = [perm.__getitem__ for _, _, perm in self.generators]
-        self.check_action(self._maps, range(n), NotGInvariant)
-        self._n = n
-
-    def label_permutation(self, element):
-        return tuple(self.act(self._maps, element, i) for i in range(self._n))
+        maps = [perm.__getitem__ for _, _, perm in self.generators]
+        self.check_action(maps, range(n), NotGInvariant)
 
 
 @dataclass
@@ -133,8 +136,7 @@ class SubTree:
     """Unit-edge realization of one per-prime metric.
 
     vertices 0..n-1; `class_vertex[c]` is where label class c sits;
-    `label_class` maps label index -> class index; `actions` maps each
-    generator name to the induced vertex permutation; `dists[c][v]` is the
+    `label_class` maps label index -> class index; `dists[c][v]` is the
     distance from class c to vertex v.
     """
 
@@ -142,7 +144,6 @@ class SubTree:
     class_vertex: tuple
     label_class: tuple
     classes: tuple
-    actions: dict
     dists: tuple = ()
 
     @property
@@ -253,46 +254,12 @@ def reconstruct_subtree(datum, p):
         if len(adj[v]) <= 1 and v not in class_set and len(adj) > 1:
             raise InternalInconsistency("terminal Steiner vertex produced")
 
-    # induced group action by distance-vector rigidity
-    vec_index = {}
-    for v in range(len(adj)):
-        vec_index[tuple(dists[c][v] for c in range(nc))] = v
-    actions = {}
-    for name, _, perm in datum.group.generators:
-        cls_perm = [None] * nc
-        for i in range(k):
-            src = label_class[i]
-            dst = label_class[perm[i]]
-            if cls_perm[src] is None:
-                cls_perm[src] = dst
-            elif cls_perm[src] != dst:
-                raise NotGInvariant("action does not respect zero classes")
-        vperm = []
-        for v in range(len(adj)):
-            image_vec = [0] * nc
-            for cidx in range(nc):
-                image_vec[cls_perm[cidx]] = dists[cidx][v]
-            w = vec_index.get(tuple(image_vec))
-            if w is None:
-                raise InternalInconsistency(
-                    "distance-preserving extension of the action failed"
-                )
-            vperm.append(w)
-        if sorted(vperm) != list(range(len(adj))):
-            raise InternalInconsistency("induced action is not a permutation")
-        for v in range(len(adj)):
-            im = set(vperm[w] for w in adj[v])
-            if im != set(adj[vperm[v]]):
-                raise InternalInconsistency("induced action breaks adjacency")
-        actions[name] = tuple(vperm)
-
     # stored as tuples: a classification keeps every tree and its distances
     return SubTree(
         adj=tuple(map(tuple, adj)),
         class_vertex=tuple(class_vertex),
         label_class=tuple(label_class),
         classes=tuple(map(tuple, classes)),
-        actions=actions,
         dists=tuple(map(tuple, dists)),
     )
 
@@ -339,12 +306,13 @@ class ClassificationResult:
         return self.m_elements[tuple(element)]
 
 
-def _center_fixed(tree, center, name):
-    act = tree.actions[name]
-    if center.kind == "vertex":
-        return act[center.vertices[0]] == center.vertices[0]
-    a, b = center.vertices
-    return {act[a], act[b]} == {a, b}
+def _swapping(tree, group, a):
+    """Indices of the generators swapping the center edge (a, b): those
+    taking label 0's class to a class at another distance from a."""
+    dists, label_class = tree.dists, tree.label_class
+    first = dists[label_class[0]][a]
+    return [i for i, (_, _, perm) in enumerate(group.generators)
+            if dists[label_class[perm[0]]][a] != first]
 
 
 def classify(datum, fq=None):
@@ -369,18 +337,12 @@ def classify(datum, fq=None):
     for p in datum.support:
         tree = trees[p]
         center = tree_center(tree)
-        for name in group.names:
-            if not _center_fixed(tree, center, name):
-                raise InternalInconsistency(
-                    "center is not fixed by the induced action"
-                )
         centers[p] = center
         if center.kind == "edge":
             n = n * p
             a, b = center.vertices
             psi[p], psi_prime[p] = _orient_edge(tree, datum, a, b)
-            swapping[p] = [i for i, name in enumerate(group.names)
-                           if tree.actions[name][a] == b]
+            swapping[p] = _swapping(tree, group, a)
         else:
             psi[p] = center.vertices[0]
             psi_prime[p] = center.vertices[0]
@@ -423,22 +385,19 @@ def minimality_check(datum, result):
     subtree is fixed by the full group (so any ideal satisfying the
     parametrization is divisible by p).
 
-    Violations are reported, not raised; a non-empty fixed set would mean
-    an internal inconsistency between the center and the action.
+    That holds exactly when some generator swaps the edge.  Violations are
+    reported, not raised; one would mean an internal inconsistency between
+    the center and the action.
     """
     report = {}
     for p in datum.support:
-        if result.centers[p].kind != "edge":
+        center = result.centers[p]
+        if center.kind != "edge":
             continue
-        tree = result.trees[p]
-        fixed = []
-        for v in range(tree.n_vertices):
-            if all(tree.actions[name][v] == v for name in datum.group.names):
-                fixed.append(v)
+        ok = bool(_swapping(result.trees[p], datum.group, center.vertices[0]))
         report[p] = {
-            "fixed_vertices": fixed,
-            "ok": not fixed,
-            "violation": "InternalInconsistency" if fixed else None,
+            "ok": ok,
+            "violation": None if ok else "InternalInconsistency",
         }
     return report
 

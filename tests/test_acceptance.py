@@ -238,7 +238,7 @@ def test_criterion_5_tree_oracles():
     for _ in range(10000):
         adj = random_tree(rng, 40)
         tree = SubTree(adj=adj, class_vertex=[], label_class=[],
-                       classes=[], actions={})
+                       classes=[])
         got = tree_center(tree)
         kind, verts = leaf_pruning_center(adj)
         if got.kind != kind or tuple(sorted(got.vertices)) != verts:

@@ -27,6 +27,7 @@ from dforge.trees import (
     OrbitDatum,
     OrbitGroup,
     SubTree,
+    _swapping,
     classify,
     materialize_center,
     minimality_check,
@@ -286,7 +287,7 @@ def test_tree_center_is_the_minimum_eccentricity_set():
         ecc = [max(bfs_dist(adj, v)) for v in range(len(adj))]
         want = tuple(v for v in range(len(adj)) if ecc[v] == min(ecc))
         got = tree_center(SubTree(adj=adj, class_vertex=(), label_class=(),
-                                  classes=(), actions={}))
+                                  classes=()))
         assert got.vertices == want
         assert got.kind == ("vertex" if len(want) == 1 else "edge")
 
@@ -296,8 +297,7 @@ def test_tree_center_is_the_minimum_eccentricity_set():
     [[1], [0], [3], [2]],              # two disjoint edges
 ])
 def test_tree_center_rejects_non_trees(adj):
-    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
-                    actions={})
+    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]])
     with pytest.raises(InternalInconsistency):
         tree_center(graph)
 
@@ -311,8 +311,7 @@ def test_tree_center_rejects_non_trees(adj):
 def test_tree_center_rejects_cycles_with_a_tree_edge_count(adj):
     # n - 1 edges, but not a tree: the pruning must not name a center
     assert sum(map(len, adj)) == 2 * (len(adj) - 1)
-    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]],
-                    actions={})
+    graph = SubTree(adj=adj, class_vertex=[0], label_class=[0], classes=[[0]])
     with pytest.raises(InternalInconsistency):
         tree_center(graph)
 
@@ -334,16 +333,21 @@ def test_orbit_group_label_permutations_compose():
     r = (1, 2, 0, 4, 5, 3)
     s = (3, 4, 5, 0, 1, 2)
     group = OrbitGroup([("r", 3, r), ("s", 2, s)])
-    assert group.label_permutation(group.generator_element("r")) == r
-    assert group.label_permutation(group.generator_element("s")) == s
+    maps = [perm.__getitem__ for _, _, perm in group.generators]
+
+    def label_permutation(element):
+        return tuple(group.act(maps, element, i) for i in range(6))
+
+    assert label_permutation(group.generator_element("r")) == r
+    assert label_permutation(group.generator_element("s")) == s
     elements = group.elements()
     assert len(elements) == 6
     for x in elements:
         for y in elements:
-            px = group.label_permutation(x)
-            py = group.label_permutation(y)
+            px = label_permutation(x)
+            py = label_permutation(y)
             composite = tuple(px[py[i]] for i in range(6))
-            assert group.label_permutation(group.compose(x, y)) == composite
+            assert label_permutation(group.compose(x, y)) == composite
 
 
 def test_classify_examples():
@@ -424,6 +428,48 @@ def test_m_map_composes_like_characters():
                 assert res.m_of(st) == (ms * mt).quotient(g * g)
 
 
+def _rigidity_actions(datum, tree):
+    """Reference action: each generator's vertex permutation, induced by
+    distance-vector rigidity as `reconstruct_subtree` once built it for
+    every tree.  The block below the first two lines is that code,
+    verbatim; it returns what the tree's `actions` field held."""
+    adj, dists, label_class = tree.adj, tree.dists, tree.label_class
+    k, nc = len(datum.labels), len(tree.classes)
+    # induced group action by distance-vector rigidity
+    vec_index = {}
+    for v in range(len(adj)):
+        vec_index[tuple(dists[c][v] for c in range(nc))] = v
+    actions = {}
+    for name, _, perm in datum.group.generators:
+        cls_perm = [None] * nc
+        for i in range(k):
+            src = label_class[i]
+            dst = label_class[perm[i]]
+            if cls_perm[src] is None:
+                cls_perm[src] = dst
+            elif cls_perm[src] != dst:
+                raise NotGInvariant("action does not respect zero classes")
+        vperm = []
+        for v in range(len(adj)):
+            image_vec = [0] * nc
+            for cidx in range(nc):
+                image_vec[cls_perm[cidx]] = dists[cidx][v]
+            w = vec_index.get(tuple(image_vec))
+            if w is None:
+                raise InternalInconsistency(
+                    "distance-preserving extension of the action failed"
+                )
+            vperm.append(w)
+        if sorted(vperm) != list(range(len(adj))):
+            raise InternalInconsistency("induced action is not a permutation")
+        for v in range(len(adj)):
+            im = set(vperm[w] for w in adj[v])
+            if im != set(adj[vperm[v]]):
+                raise InternalInconsistency("induced action breaks adjacency")
+        actions[name] = tuple(vperm)
+    return actions
+
+
 def _m_by_element_walk(datum, result, fq):
     """Reference m-map: apply every group element to a center edge's first
     endpoint through the generators' vertex maps."""
@@ -436,8 +482,8 @@ def _m_by_element_walk(datum, result, fq):
             if center.kind != "edge":
                 continue
             a, b = center.vertices
-            maps = [result.trees[p].actions[name].__getitem__
-                    for name in group.names]
+            actions = _rigidity_actions(datum, result.trees[p])
+            maps = [actions[name].__getitem__ for name in group.names]
             image = group.act(maps, element, a)
             assert image in (a, b), "center edge not stabilized"
             if image == b:
@@ -478,6 +524,99 @@ def test_m_map_against_the_element_walk():
         validate_orbit(datum)
         res = classify(datum)
         assert res.m_elements == _m_by_element_walk(datum, res, F3)
+
+
+# non-transitive orbits with an edge center and their minimality verdicts
+NON_TRANSITIVE = [
+    # the trivial group fixes the edge and both its ends
+    ([[0, 1], [1, 0]], [], False),
+    # labels 0 and 1 swap on one side of the center edge, label 2 is fixed
+    ([[0, 2, 3], [2, 0, 3], [3, 3, 0]], [("s", 2, (1, 0, 2))], False),
+    # two orbits {0, 1}, {2, 3} on a path 2-0-1-3, whose middle is swapped
+    ([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 3], [2, 1, 3, 0]],
+     [("s", 2, (1, 0, 3, 2))], True),
+]
+
+
+@pytest.mark.parametrize("mat, perms, ok", NON_TRANSITIVE)
+def test_minimality_of_non_transitive_orbits(mat, perms, ok):
+    d = make_datum(mat, perms=perms)
+    res = classify(d)
+    assert res.n == P_T and res.centers[P_T].kind == "edge"
+    rep = minimality_check(d, res)
+    assert rep == {P_T: {"ok": ok,
+                         "violation": None if ok else "InternalInconsistency"}}
+
+
+def _swap_cases(rng):
+    """(group, metrics) pairs: the planted non-transitive orbits, random
+    tree metrics under the trivial group, mirrored metrics swapped at
+    their center edge, and synthetic orbits of (Z/2)^r."""
+    for mat, perms, _ in NON_TRANSITIVE:
+        yield OrbitGroup(perms), {P_T: tuple(map(tuple, mat))}
+    for _ in range(40):
+        adj = random_tree(rng, 20)
+        marked = [rng.randrange(len(adj)) for _ in range(rng.randrange(2, 6))]
+        mat = tuple(tuple(bfs_dist(adj, a)[b] for b in marked)
+                    for a in marked)
+        yield OrbitGroup([]), {P_T: mat}
+    for _ in range(40):
+        mat, swap = mirror_orbit_metric(rng, odd=True)
+        yield OrbitGroup([("s", 2, swap)]), {P_T: mat}
+    pool = [P_T, P_T1, P_T2]
+    for _ in range(80):
+        gens, metrics, _, _, _ = synthetic_orbit(rng, pool)
+        yield OrbitGroup(gens), metrics
+
+
+def test_swapping_agrees_with_the_rigidity_action():
+    # for every generator and center edge, the one-distance rule names the
+    # swaps the full vertex permutation makes, and minimality holds exactly
+    # when that permutation leaves no vertex fixed by every generator
+    rng = random.Random(317)
+    verdicts = []
+    for group, metrics in _swap_cases(rng):
+        k = len(next(iter(metrics.values())))
+        datum = OrbitDatum(labels=tuple(range(k)), group=group,
+                           metrics=metrics)
+        validate_orbit(datum)
+        res = classify(datum, fq=F3)
+        report = minimality_check(datum, res)
+        for p in datum.support:
+            center = res.centers[p]
+            if center.kind != "edge":
+                continue
+            tree = res.trees[p]
+            actions = _rigidity_actions(datum, tree)
+            a, b = center.vertices
+            assert _swapping(tree, group, a) == [
+                i for i, name in enumerate(group.names)
+                if actions[name][a] == b]
+            fixed = [v for v in range(tree.n_vertices)
+                     if all(actions[name][v] == v for name in group.names)]
+            assert report[p]["ok"] == (not fixed)
+            verdicts.append(report[p]["ok"])
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 20
+
+
+def test_trees_builds_no_vertex_permutation():
+    # no generator acts on vertices in trees.py: `SubTree` has no `actions`
+    # field and nothing reads one, `_center_fixed` is gone, and so is
+    # `OrbitGroup.label_permutation`
+    source = Path(dforge.__file__).with_name("trees.py").read_text()
+    tree = ast.parse(source)
+    subtree = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "SubTree")
+    fields = {node.target.id for node in subtree.body
+              if isinstance(node, ast.AnnAssign)}
+    assert "actions" not in fields
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "actions"]
+    defined = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)}
+    assert "_center_fixed" not in defined
+    assert "label_permutation" not in source
 
 
 def test_trees_searches_no_graph():
@@ -521,8 +660,7 @@ def test_orbit_from_isogenies_worked_example():
                                  {(1, 0): iso_mu, (0, 1): iso_eta}, galois)
     assert datum.support == (P_T,)
     assert datum.metrics[P_T] == ((0, 1), (1, 0))
-    assert datum.group.label_permutation(
-        datum.group.generator_element("s")) == (1, 0)
+    assert datum.group.generators[0][2] == (1, 0)
     res = classify(datum)
     assert res.n == P_T and res.m_generators["s"] == P_T
 
