@@ -11,7 +11,6 @@ from dforge import (
     ModuliPoint,
     al_apply,
     al_group,
-    degree,
     dual,
     project_p,
     verify_isogeny,
@@ -37,7 +36,7 @@ def main():
         except CMSuspected:
             continue
     iso = verify_isogeny(phi, tgt, chi, cert)
-    deg, n1, n2 = degree(iso)
+    deg, n1, n2 = iso.degree_parts()
     print(f"phi_T = {skew_to_text(phi.phiT)}")
     print(f"chi   = {skew_to_text(chi)}")
     print(f"deg   = {ideal_to_text(deg)} (cyclic: {n2.is_unit()})")

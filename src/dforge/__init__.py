@@ -17,7 +17,6 @@ from .ideals import (
 from .skew import (
     SkewPoly,
     conjugate,
-    differential,
     lclm,
     right_divmod,
     right_gcd,
@@ -27,7 +26,6 @@ from .drinfeld import (
     CertificateCache,
     DescentCocycle,
     DrinfeldModule,
-    JInvariant,
     NonCMCertificate,
     certify_non_cm,
     conjugate_module,
@@ -39,15 +37,11 @@ from .drinfeld import (
 )
 from .isogeny import (
     Isogeny,
-    annihilator,
     compose,
-    degree,
     delta_p,
     dual,
     factor_prime_power,
     find_isogenies,
-    is_cyclic,
-    is_primitive,
     normalize_isogeny,
     primitive_part,
     project_p,
@@ -77,7 +71,6 @@ from .moduli import (
     descent_data,
     is_central,
     star_orbit,
-    theta,
 )
 
 __version__ = "0.1.0"

@@ -48,7 +48,6 @@ _ROOT_PRIME_DEGREE = 6
 
 __all__ = [
     "DrinfeldModule",
-    "JInvariant",
     "NonCMCertificate",
     "DescentCocycle",
     "make_module",
@@ -124,19 +123,11 @@ def phi_a(module, a):
     return out
 
 
-@dataclass(frozen=True)
-class JInvariant:
-    value: object  # ExtFieldElem
-
-    def __repr__(self):
-        return f"j({self.value!r})"
-
-
 def j_invariant(module):
     """j = g^(q+1)/Delta for rank 2; classifies modules up to K-bar isomorphism."""
     g, delta = module.g, module.delta
     q = module.field.fq.q
-    return JInvariant((g ** (q + 1)) / delta)
+    return (g ** (q + 1)) / delta
 
 
 def conjugate_module(datum, element, module):
@@ -346,7 +337,7 @@ def certify_non_cm(module, bound):
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     expected = bound // 2 + 1
-    if not j_invariant(module).value.is_integral():
+    if not j_invariant(module).is_integral():
         return NonCMCertificate(module, bound, expected, "j-invariant", ())
     _, _, tails = intertwiner_closure(module, module, bound)
     dimension, method, primes = _kernel_dimension(module.field, tails, bound)

@@ -145,11 +145,7 @@ class DegreeMismatch(AlgebraError):
     pass
 
 
-class EvenCharacteristicUnsupported(AlgebraError):
-    pass
-
-
-class EvenCharacteristic(EvenCharacteristicUnsupported):
+class EvenCharacteristic(AlgebraError):
     pass
 
 

@@ -47,10 +47,6 @@ from .skew import (SkewPoly, conjugate, kernel_dimension, right_divmod,
 __all__ = [
     "Isogeny",
     "verify_isogeny",
-    "annihilator",
-    "degree",
-    "is_cyclic",
-    "is_primitive",
     "primitive_part",
     "dual",
     "compose",
@@ -84,6 +80,8 @@ class Isogeny:
         return _annihilator(self)
 
     def degree_parts(self):
+        """(deg, n1, n2) with Ker mu = A/n1 + A/n2 and #(A/deg) =
+        q^(deg_tau mu)."""
         return self._degree_parts
 
     @cached_property
@@ -94,11 +92,8 @@ class Isogeny:
         return self.degree_parts()[0]
 
     def is_cyclic(self):
-        return self.degree_parts()[2].is_unit()
-
-    def is_primitive(self):
         # cyclic and primitive agree for rank-two non-CM isogenies
-        return self.is_cyclic()
+        return self.degree_parts()[2].is_unit()
 
     def __eq__(self, other):
         return (
@@ -172,17 +167,6 @@ def split_at(phi, mu, phi_a_value):
 
 # -- annihilator linear algebra ------------------------------------------------
 
-def _min_monic_dependence(rows, fq):
-    """First index n with rows[n] in the span of rows[:n], plus coefficients.
-
-    Returns (n, combo) with rows[n] + sum combo[i] rows[i] = 0, the monic
-    relation (`fields.row_relations`), or (None, None).
-    """
-    for n, combo in row_relations(fq, rows):
-        return n, [int(c) for c in combo[:n]]
-    return None, None
-
-
 def _annihilator(iso):
     """Minimal monic a with mu right-dividing phi_a; the ideal n1.
 
@@ -212,17 +196,13 @@ def _annihilator(iso):
     for i, a in enumerate(nums):
         rows[i, : len(a.array)] = a.array
     rows = rows.reshape(len(rems), m * field.e * width)
-    n, combo = _min_monic_dependence(rows, fq)
-    if n is None:
-        raise InternalInconsistency(
-            "no annihilator of degree <= deg_tau mu; not a rank-2 isogeny kernel"
-        )
-    # x -> x mod mu is F_q-linear and the relation exact: phi_gen mod mu = 0
-    return IdealA(fq.poly([FqElem(fq, c) for c in combo] + [fq.one]))
-
-
-def annihilator(iso):
-    return iso.annihilator_ideal
+    # the first relation is monic, combo[n] = 1; x -> x mod mu is F_q-linear
+    # and the relation exact: phi_gen mod mu = 0
+    for n, combo in row_relations(fq, rows):
+        return IdealA(fq.poly([FqElem(fq, int(c)) for c in combo[:n + 1]]))
+    raise InternalInconsistency(
+        "no annihilator of degree <= deg_tau mu; not a rank-2 isogeny kernel"
+    )
 
 
 def _degree_parts(iso):
@@ -256,19 +236,6 @@ def _degree_parts(iso):
     exact_quotient(iso.mu, phi_a(iso.source, n2.gen),
                    "phi_{n2} does not right-divide mu", StructureError)
     return n1 * n2, n1, n2
-
-
-def degree(iso):
-    """(deg, n1, n2) with Ker mu = A/n1 + A/n2 and #(A/deg) = q^(deg_tau mu)."""
-    return iso.degree_parts()
-
-
-def is_cyclic(iso):
-    return iso.is_cyclic()
-
-
-def is_primitive(iso):
-    return iso.is_primitive()
 
 
 def primitive_part(iso, certificate_factory):
@@ -318,7 +285,7 @@ def compose(g, f, certificate_factory):
 def delta_p(iso, p):
     """v_p of the degree of a primitive isogeny (eq. delta); the local
     distance between the modules in the p-isogeny tree."""
-    if not iso.is_primitive():
+    if not iso.is_cyclic():
         raise NotPrimitive("delta_p needs a primitive isogeny")
     deg = iso.degree_ideal()
     return deg.valuation(p)
@@ -408,7 +375,7 @@ def normalize_isogeny(iso, galois):
     order of the character, lambda = c_0^n is fixed, and mu = c_0 *
     mu_normalized with mu_normalized fixed and of constant term 1.
     """
-    if not iso.is_primitive():
+    if not iso.is_cyclic():
         raise NotPrimitive("normalization needs a primitive isogeny")
     field = iso.field
     fq = field.fq

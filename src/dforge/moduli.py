@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import (
     AmbientMismatch,
     DegreeMismatch,
-    EvenCharacteristicUnsupported,
+    EvenCharacteristic,
     InternalInconsistency,
     NotCyclic,
     NotGStable,
@@ -39,7 +39,6 @@ __all__ = [
     "StarOrbit",
     "al_compose",
     "al_apply",
-    "theta",
     "star_orbit",
     "descent_data",
     "is_central",
@@ -104,25 +103,13 @@ class ModuliPoint:
         return self.iso.degree_ideal()
 
     def theta_pair(self):
-        return theta(self)
+        """(j(source), j(target)); the target class is theta of w_n x."""
+        return j_invariant(self.iso.source), j_invariant(self.iso.target)
 
     def validate(self):
         if not self.iso.is_cyclic():
             raise NotCyclic("a moduli point needs a cyclic representative")
         return self
-
-
-def theta(point):
-    """(j(source), j(target)); the target class is theta of w_n x."""
-    return (
-        j_invariant(point.iso.source).value,
-        j_invariant(point.iso.target).value,
-    )
-
-
-def points_equal(x, y):
-    """Theta-pair plus degree equality; faithful on non-CM points."""
-    return x.level == y.level and x.theta_pair() == y.theta_pair()
 
 
 def al_apply(w, x, certificate_factory):
@@ -202,7 +189,7 @@ def star_orbit(x, certificate_factory, galois=None):
     iso = x.iso
     fq = iso.field.fq
     if fq.q % 2 == 0:
-        raise EvenCharacteristicUnsupported(
+        raise EvenCharacteristic(
             "decomposition groups can exceed order 2 for even q"
         )
     n = iso.degree_ideal()
@@ -220,7 +207,7 @@ def star_orbit(x, certificate_factory, galois=None):
             elem = galois.generator_element(name)
             s_source = conjugate_module(galois, elem, iso.source)
             s_target = conjugate_module(galois, elem, iso.target)
-            s_pair = (j_invariant(s_source).value, j_invariant(s_target).value)
+            s_pair = (j_invariant(s_source), j_invariant(s_target))
             match = None
             for w, pt in translates:
                 if pt.theta_pair() == s_pair:

@@ -24,7 +24,6 @@ __all__ = [
     "lclm",
     "scalar_ratio",
     "skew_eval",
-    "differential",
     "conjugate",
 ]
 
@@ -66,6 +65,7 @@ class SkewPoly:
         return self.coeffs[-1]
 
     def constant(self):
+        """The differential: a ring homomorphism K{tau} -> K."""
         if self.is_zero():
             return self.field.zero
         return self.coeffs[0]
@@ -330,11 +330,6 @@ def skew_eval(a, lam):
         if not c.is_zero():
             out = out + c * cur
     return out
-
-
-def differential(a):
-    """The constant term; a ring homomorphism K{tau} -> K."""
-    return a.constant()
 
 
 def conjugate(datum, element, a):

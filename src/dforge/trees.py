@@ -410,7 +410,7 @@ def orbit_from_isogenies(conjugates, isogenies, galois):
     permutation is derived by matching j-invariants of conjugated modules.
     """
     k = len(conjugates)
-    jvals = [j_invariant(m).value for m in conjugates]
+    jvals = [j_invariant(m) for m in conjugates]
     if len(set(jvals)) != k:
         raise OrbitNotClosed("conjugates are not pairwise non-isomorphic")
     perms = []
@@ -418,7 +418,7 @@ def orbit_from_isogenies(conjugates, isogenies, galois):
         elem = galois.generator_element(name)
         perm = []
         for i, m in enumerate(conjugates):
-            jv = j_invariant(conjugate_module(galois, elem, m)).value
+            jv = j_invariant(conjugate_module(galois, elem, m))
             try:
                 perm.append(jvals.index(jv))
             except ValueError:
@@ -479,54 +479,13 @@ def materialize_center(datum, result, certificate_factory):
     """
     if not datum.modules:
         raise NotRealizable("orbit datum carries no concrete modules")
-    base = datum.modules[0]
     factory = certificate_factory
 
-    def leg(i):
-        """Concrete primitive isogeny base -> conjugate i."""
-        if i == 0:
-            one = SkewPoly.from_scalar(base.field.one)
-            return _certified(base, base, one, factory(base, 0))
-        iso = datum.isogenies.get((0, i))
-        if iso is not None:
-            return iso
-        rev = datum.isogenies.get((i, 0))
-        if rev is None:
-            raise NotRealizable(f"no concrete leg between the base and {i}")
-        return iso_dual(rev, factory)
-
-    def vertex_module(p, tree, vertex):
-        """Module whose pi_p sits at the given subtree vertex, and the
-        primitive p-power isogeny from pi_p(base) reaching it."""
-        # locate a label-class pair whose path contains the vertex
-        nc = len(tree.classes)
-        for cx in range(nc):
-            dx = tree.dists[cx]
-            for cy in range(nc):
-                dy = tree.dists[cy]
-                if dx[vertex] + dy[vertex] != dx[tree.class_vertex[cy]]:
-                    continue
-                x = tree.classes[cx][0]
-                y = tree.classes[cy][0]
-                try:
-                    leg_x = leg(x)
-                    leg_y = leg(y)
-                except NotRealizable:
-                    continue
-                return _walk_to_vertex(
-                    p, leg_x, leg_y, dx[vertex], factory
-                )
-        raise NotRealizable("center vertex lies outside concrete paths")
-
-    support = datum.support
-    trees = result.trees
-
     def glue(descriptor):
-        cur_iso = leg(0)  # scalar: base -> base
-        for p in support:
-            tree = trees[p]
-            vertex = descriptor[p]
-            _, to_vertex = vertex_module(p, tree, vertex)
+        cur_iso = _leg(datum, 0, factory)  # scalar: base -> base
+        for p in datum.support:
+            to_vertex = _walk_to_vertex(datum, result.trees[p], p,
+                                        descriptor[p], factory)
             # transport to the current glued module
             omega = iso_compose(to_vertex, iso_dual(cur_iso, factory), factory)
             omega = primitive_part(omega, factory)
@@ -547,22 +506,48 @@ def materialize_center(datum, result, certificate_factory):
     return psi, bridge
 
 
-def _walk_to_vertex(p, leg_x, leg_y, steps, factory):
-    """Module at distance `steps` from pi_p(x) toward pi_p(y), with the
-    primitive p-power isogeny from the base reaching it."""
-    _, px, _ = project_p(leg_x, p, certificate_factory=factory)
+def _leg(datum, i, factory):
+    """Concrete primitive isogeny base -> conjugate i."""
+    base = datum.modules[0]
+    if i == 0:
+        one = SkewPoly.from_scalar(base.field.one)
+        return _certified(base, base, one, factory(base, 0))
+    iso = datum.isogenies.get((0, i))
+    if iso is not None:
+        return iso
+    rev = datum.isogenies.get((i, 0))
+    if rev is None:
+        raise NotRealizable(f"no concrete leg between the base and {i}")
+    return iso_dual(rev, factory)
+
+
+def _walk_to_vertex(datum, tree, p, vertex, factory):
+    """The primitive p-power isogeny from the base to a module whose pi_p
+    sits at the given vertex of the tree at p.
+
+    Label 0 lies in class 0, and a path between two classes lies in the
+    union of their paths from class 0.  So the walk takes the first links
+    of the p-part of the leg to the first class with a concrete leg whose
+    path from class 0 passes the vertex; a sub-chain of a cyclic chain is
+    cyclic.
+    """
+    d0 = tree.dists[0]
+    steps = d0[vertex]
     if steps == 0:
-        return px.target, px
-    _, py, _ = project_p(leg_y, p, certificate_factory=factory)
-    # primitive p-power X -> Y through the base
-    rho = iso_compose(py, iso_dual(px, factory), factory)
-    rho = primitive_part(rho, factory)
-    chain = factor_prime_power(rho, certificate_factory=factory)
-    if steps > len(chain):
-        raise InternalInconsistency("walk longer than the p-power chain")
-    walked = chain[0]
-    for link in chain[1:steps]:
-        walked = iso_compose(link, walked, factory)
-    reach = iso_compose(walked, px, factory)
-    reach = primitive_part(reach, factory)
-    return reach.target, reach
+        return _leg(datum, 0, factory)
+    for c, dc in enumerate(tree.dists):
+        if steps + dc[vertex] != d0[tree.class_vertex[c]]:
+            continue
+        try:
+            far = _leg(datum, tree.classes[c][0], factory)
+        except NotRealizable:
+            continue
+        _, p_part, _ = project_p(far, p, certificate_factory=factory)
+        chain = factor_prime_power(p_part, certificate_factory=factory)
+        if steps > len(chain):
+            raise InternalInconsistency("walk longer than the p-power chain")
+        walked = chain[0]
+        for link in chain[1:steps]:
+            walked = iso_compose(link, walked, factory)
+        return walked
+    raise NotRealizable("center vertex lies outside concrete paths")

@@ -25,7 +25,6 @@ from dforge.fields import Fq
 from dforge.ideals import IdealA, unit_ideal
 from dforge.isogeny import (
     compose,
-    degree,
     dual,
     find_isogenies,
     verify_isogeny,
@@ -137,8 +136,8 @@ def test_criterion_3_degree_multiplicativity_and_duals():
             continue
         f = verify_isogeny(phi, psi, fwd, cphi)
         b = verify_isogeny(psi, phi, back, cpsi)
-        d_f, _, _ = degree(f)
-        d_b, _, _ = degree(b)
+        d_f, _, _ = f.degree_parts()
+        d_b, _, _ = b.degree_parts()
         # dual relations: hat(mu) mu = phi_{a_n}, mu hat(mu) = psi_{a_n}
         hat = dual(f, CERTS)
         from dforge.drinfeld import phi_a
@@ -146,13 +145,13 @@ def test_criterion_3_degree_multiplicativity_and_duals():
         a_n = d_f.gen
         ok = ok and hat.mu * f.mu == phi_a(phi, a_n)
         ok = ok and f.mu * hat.mu == phi_a(psi, a_n)
-        ok = ok and degree(hat)[0] == d_f
+        ok = ok and hat.degree_parts()[0] == d_f
         # multiplicativity on the two-step chain
         two = compose(b, f, CERTS)
-        ok = ok and degree(two)[0] == d_f * d_b
+        ok = ok and two.degree_parts()[0] == d_f * d_b
         if chains % 8 == 0:
             three = compose(f, two, CERTS)
-            ok = ok and degree(three)[0] == d_f * d_f * d_b
+            ok = ok and three.degree_parts()[0] == d_f * d_f * d_b
         if not ok:
             break
         chains += 1
@@ -193,15 +192,15 @@ def test_criterion_4_scalar_ratio_and_theta_injectivity():
         except CMSuspected:
             continue
         # equal Theta pairs by construction
-        ok = ok and j_invariant(phi2).value == j_invariant(phi).value
-        ok = ok and j_invariant(psi2).value == j_invariant(psi).value
+        ok = ok and j_invariant(phi2) == j_invariant(phi)
+        ok = ok and j_invariant(psi2) == j_invariant(psi)
         found = find_isogenies(phi2, psi2, mu2.deg, certificate_factory=CERTS)
         monics = {u.mu.monic() for u in found}
         ok = ok and mu2.monic() in monics
         # all intertwiners of equal degree are F_q^x multiples: one line
         degs = {}
         for u in found:
-            degs.setdefault(degree(u)[0], set()).add(u.mu.monic())
+            degs.setdefault(u.degree_parts()[0], set()).add(u.mu.monic())
         ok = ok and all(len(v) == 1 for v in degs.values())
         if not ok:
             break
@@ -373,7 +372,7 @@ def test_criterion_8_weil_descent():
         cocycle = DescentCocycle.from_map(datum, nu)
         model = descend_k_model(phi, cocycle, rng=random.Random(done))
         ok = ok and all(datum.is_fixed(x) for x in model.phiT.coeffs)
-        ok = ok and j_invariant(model).value == j_invariant(phi).value
+        ok = ok and j_invariant(model) == j_invariant(phi)
         if not ok:
             break
         done += 1

@@ -1220,6 +1220,41 @@ def test_no_unset_defaulted_parameters():
     assert unset == []
 
 
+# names whose body only forwarded to another: each question has one entry
+# point, `j_invariant`, `Isogeny.annihilator_ideal`, `.degree_parts`,
+# `.is_cyclic`, `ModuliPoint.theta_pair`, `SkewPoly.constant`,
+# `fields.row_relations` and `errors.EvenCharacteristic`
+_FORWARDERS = {"JInvariant", "_min_monic_dependence", "theta", "points_equal",
+               "differential", "EvenCharacteristicUnsupported", "is_primitive"}
+# names that stay as methods, but no longer as free functions
+_FREE_FORWARDERS = {"annihilator", "degree", "is_cyclic"}
+
+
+def test_one_entry_point_per_question():
+    # no forwarder is defined anywhere in src/dforge, listed in an
+    # __all__ or exported by dforge/__init__.py
+    hits = []
+    for path in sorted(Path(dforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name in _FORWARDERS:
+                hits.append(f"{path.name}:{node.lineno}: defines {node.name}")
+        for node in tree.body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                if "__all__" in names:
+                    names += [e.value for e in node.value.elts]
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                names = [a.asname or a.name for a in node.names]
+            hits += [f"{path.name}:{node.lineno}: binds {name}" for name in names
+                     if name in _FORWARDERS | _FREE_FORWARDERS]
+    assert hits == []
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so an invariant check in the
     # program raises an exception instead

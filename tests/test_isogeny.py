@@ -22,19 +22,15 @@ from dforge.errors import (
     NotScalarConjugate,
 )
 from dforge.extfield import GaloisDatum
+from dforge.fields import row_relations
 from dforge.ideals import IdealA, divisors_in_degree_order
 from dforge.isogeny import (
     Isogeny,
-    _min_monic_dependence,
-    annihilator,
     compose,
-    degree,
     delta_p,
     dual,
     factor_prime_power,
     find_isogenies,
-    is_cyclic,
-    is_primitive,
     normalize_isogeny,
     primitive_part,
     project_p,
@@ -135,13 +131,13 @@ def test_annihilator_of_phi_a():
     phi = random_module(rng, Q3)
     a = F3.poly([2, 2, 1])
     iso = verify_isogeny(phi, phi, phi_a(phi, a), CERTS(phi, 2 * a.degree))
-    assert annihilator(iso) == IdealA(a)
+    assert iso.annihilator_ideal == IdealA(a)
 
 
 def test_annihilator_worked_example():
     fq, datum, phi, sphi, mu, eta = worked_example()
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
-    assert annihilator(iso) == T_IDEAL
+    assert iso.annihilator_ideal == T_IDEAL
 
 
 def test_degree_of_phi_a_is_square():
@@ -149,19 +145,19 @@ def test_degree_of_phi_a_is_square():
     phi = random_module(rng, Q3)
     a = F3.poly([1, 1])
     iso = verify_isogeny(phi, phi, phi_a(phi, a), CERTS(phi, 2))
-    deg, n1, n2 = degree(iso)
+    deg, n1, n2 = iso.degree_parts()
     assert n1 == n2 == IdealA(a)
     assert deg == IdealA(a * a)
-    assert not is_cyclic(iso)
-    assert is_primitive(iso) == is_cyclic(iso)
+    assert not iso.is_cyclic()
+    assert (primitive_part(iso, CERTS) is iso) == iso.is_cyclic()
 
 
 def test_degree_worked_example_and_counting():
     fq, datum, phi, sphi, mu, eta = worked_example()
     iso = verify_isogeny(sphi, phi, mu, CERTS(sphi, 1))
-    deg, n1, n2 = degree(iso)
+    deg, n1, n2 = iso.degree_parts()
     assert deg == T_IDEAL and n2.is_unit()
-    assert is_cyclic(iso)
+    assert iso.is_cyclic()
     # #(A/deg) = q^(deg_tau mu)
     assert deg.degree == iso.mu.deg
 
@@ -192,7 +188,7 @@ def _non_cyclic_composites():
 def _divisor_scan(iso):
     """n2 as the unique divisor of n1 of the complementary degree whose
     phi right-divides mu: the reference for the split-degree reading."""
-    n1 = annihilator(iso)
+    n1 = iso.annihilator_ideal
     k = iso.mu.deg - n1.degree
     matches = [IdealA(d) for d in divisors_in_degree_order(n1.gen)
                if d.degree == k
@@ -203,10 +199,10 @@ def _divisor_scan(iso):
 
 def test_degree_parts_against_the_divisor_scan():
     for phi, fwd, a, iso in _non_cyclic_composites():
-        deg, n1, n2 = degree(iso)
+        deg, n1, n2 = iso.degree_parts()
         assert n2 == IdealA(a) == _divisor_scan(iso)
-        assert n1 == IdealA(a) * degree(verify_isogeny(
-            phi, iso.target, fwd, CERTS(phi, fwd.deg)))[0]
+        assert n1 == IdealA(a) * verify_isogeny(
+            phi, iso.target, fwd, CERTS(phi, fwd.deg)).degree_parts()[0]
         assert deg == n1 * n2 and deg.degree == iso.mu.deg
     assert len(_non_cyclic_composites()) == 2 * len(A_GENS)
 
@@ -328,7 +324,7 @@ def test_compose_dual_gives_phi_a():
     d = dual(iso, CERTS)
     comp = compose(d, iso, CERTS)
     assert comp.mu == phi_a(sphi, F3.poly_T())
-    deg, n1, n2 = degree(comp)
+    deg, n1, n2 = comp.degree_parts()
     assert deg == T_IDEAL * T_IDEAL
 
 
@@ -340,10 +336,10 @@ def test_degree_multiplicativity_on_chain_of_three():
     b = verify_isogeny(psi, phi, back, CERTS(psi, 2))
     two = compose(b, f, CERTS)
     three = compose(f, two, CERTS)
-    d1 = degree(f)[0]
-    d2 = degree(two)[0]
-    d3 = degree(three)[0]
-    assert d2 == degree(f)[0] * degree(b)[0]
+    d1 = f.degree_parts()[0]
+    d2 = two.degree_parts()[0]
+    d3 = three.degree_parts()[0]
+    assert d2 == f.degree_parts()[0] * b.degree_parts()[0]
     assert d3 == d1 * d2
 
 
@@ -352,8 +348,8 @@ def test_cyclic_composite_with_phi_a_factor_is_not_cyclic():
     # mu * sphi_{T+1}: kernel contains the full (T+1)-torsion
     bigger = mu * phi_a(sphi, F3.poly([1, 1]))
     iso = verify_isogeny(sphi, phi, bigger, CERTS(sphi, 3))
-    assert not is_cyclic(iso)
-    deg, n1, n2 = degree(iso)
+    assert not iso.is_cyclic()
+    deg, n1, n2 = iso.degree_parts()
     assert n2 == IdealA(F3.poly([1, 1]))
     assert n1 == T_IDEAL * IdealA(F3.poly([1, 1]))
 
@@ -424,8 +420,8 @@ def test_project_p_splits_two_prime_point():
             continue
         iso = verify_isogeny(phi, tgt, chi, cert)
         m1, part1, cop1 = project_p(iso, p1, certificate_factory=CERTS)
-        assert degree(part1)[0] == p1
-        assert degree(cop1)[0] == p2
+        assert part1.degree_parts()[0] == p1
+        assert cop1.degree_parts()[0] == p2
         recomb = compose(cop1, part1, CERTS)
         ratios = {(-1)}
         ratios = set()
@@ -446,7 +442,7 @@ def test_project_p_splits_two_prime_point():
         m2, part2, cop2 = project_p(iso, p2, certificate_factory=CERTS)
         g1_iso = verify_isogeny(mid, tgt, g1, CERTS(mid, 1))
         assert delta_p(g1_iso, p2) == 1
-        assert degree(part2)[0] == p2  # pi_p2(tgt) is one step from phi
+        assert part2.degree_parts()[0] == p2  # pi_p2(tgt) is one step from phi
         assert delta_p(iso, p1) == delta_p(part1, p1)
         done += 1
 
@@ -523,13 +519,13 @@ def test_factor_prime_power_cyclic_square():
         phi, tgt, chi = _cyclic_square(rng, Q3, c)
         try:
             iso = verify_isogeny(phi, tgt, chi, CERTS(phi, 2))
-            deg, _, n2 = degree(iso)
+            deg, _, n2 = iso.degree_parts()
             fac = factor_prime_power(iso, certificate_factory=CERTS)
         except CMSuspected:
             continue
         assert deg == p * p and n2.is_unit()
         assert len(fac) == 2
-        assert [degree(x)[0] for x in fac] == [p, p]
+        assert [x.degree_parts()[0] for x in fac] == [p, p]
         assert fac[0].source == phi and fac[1].target == tgt
         assert fac[0].target == fac[1].source
         assert fac[1].mu * fac[0].mu == chi
@@ -572,7 +568,7 @@ def test_project_p_against_the_full_degree_split():
             assert mid == ref_mid
             assert p_part.mu == ref_part
             assert coprime.mu == ref_quo
-            assert (p_part.mu.deg == 0) == (degree(iso)[0].valuation(p) == 0)
+            assert (p_part.mu.deg == 0) == (iso.degree_parts()[0].valuation(p) == 0)
 
 
 def test_find_isogenies_scalars_and_twist():
@@ -694,8 +690,9 @@ def test_min_monic_dependence_planted(fq):
             acc = acc + fq.elem_packed(combo[i]) * fq.elem_packed(int(rows[i][j]))
         planted.append(acc.val)
     tail = np.array([rng.randrange(fq.q) for _ in range(width)], dtype=np.int64)
-    index, got = _min_monic_dependence(rows + [np.array(planted), tail], fq)
-    assert index == n
+    index, relation = next(row_relations(fq, rows + [np.array(planted), tail]))
+    assert index == n and relation[n] == 1
+    got = [int(c) for c in relation[:n]]
     # the monic relation rows[n] + sum got[i] rows[i] = 0
     for j in range(width):
         acc = fq.elem_packed(planted[j])
@@ -703,7 +700,7 @@ def test_min_monic_dependence_planted(fq):
             acc = acc + fq.elem_packed(got[i]) * fq.elem_packed(int(rows[i][j]))
         assert acc == fq.zero
     assert got == [(-fq.elem_packed(c)).val for c in combo]
-    assert _min_monic_dependence(rows, fq) == (None, None)
+    assert next(row_relations(fq, rows), None) is None
 
 
 def _planted_points():
@@ -780,5 +777,5 @@ def test_derived_isogenies_pass_the_outside_constructor(monkeypatch):
     for iso in built:
         again = verify_isogeny(iso.source, iso.target, iso.mu, iso.certificate)
         assert again == iso
-        n1 = annihilator(iso)
+        n1 = iso.annihilator_ideal
         assert right_divmod(phi_a(iso.source, n1.gen), iso.mu)[1].is_zero()

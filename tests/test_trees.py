@@ -20,14 +20,25 @@ from dforge.errors import (
 )
 from dforge.extfield import GaloisDatum
 from dforge.ideals import IdealA, unit_ideal
-from dforge.isogeny import dual, verify_isogeny
+from dforge.isogeny import (
+    _certified,
+    compose as iso_compose,
+    dual as iso_dual,
+    factor_prime_power,
+    primitive_part,
+    project_p,
+    verify_isogeny,
+)
+from dforge.randgen import two_prime_point
 from dforge.skew import SkewPoly
+from dforge.errors import CMSuspected
 from dforge.trees import (
     Center,
     OrbitDatum,
     OrbitGroup,
     SubTree,
     _swapping,
+    _walk_to_vertex,
     classify,
     materialize_center,
     minimality_check,
@@ -45,9 +56,11 @@ from helpers import (
     mirror_orbit_metric,
     quadratic_field,
     random_tree,
+    rational_field,
     spanned_subtree,
     synthetic_orbit,
 )
+from test_isogeny import _cyclic_square
 
 F3 = get_fq(3)
 P_T = IdealA(F3.poly([0, 1]))
@@ -712,3 +725,188 @@ def test_materialize_center_without_modules():
     res = classify(d)
     with pytest.raises(NotRealizable):
         materialize_center(d, res, CertificateCache())
+
+
+# -- materialization: walks from the base against the walks between classes --
+
+def _reference_closures(datum, factory):
+    """`leg` and `vertex_module` of `materialize_center` as they were when
+    a walk could start at any label class, verbatim: the reference for
+    `_walk_to_vertex`."""
+    base = datum.modules[0]
+
+    def leg(i):
+        """Concrete primitive isogeny base -> conjugate i."""
+        if i == 0:
+            one = SkewPoly.from_scalar(base.field.one)
+            return _certified(base, base, one, factory(base, 0))
+        iso = datum.isogenies.get((0, i))
+        if iso is not None:
+            return iso
+        rev = datum.isogenies.get((i, 0))
+        if rev is None:
+            raise NotRealizable(f"no concrete leg between the base and {i}")
+        return iso_dual(rev, factory)
+
+    def vertex_module(p, tree, vertex):
+        """Module whose pi_p sits at the given subtree vertex, and the
+        primitive p-power isogeny from pi_p(base) reaching it."""
+        # locate a label-class pair whose path contains the vertex
+        nc = len(tree.classes)
+        for cx in range(nc):
+            dx = tree.dists[cx]
+            for cy in range(nc):
+                dy = tree.dists[cy]
+                if dx[vertex] + dy[vertex] != dx[tree.class_vertex[cy]]:
+                    continue
+                x = tree.classes[cx][0]
+                y = tree.classes[cy][0]
+                try:
+                    leg_x = leg(x)
+                    leg_y = leg(y)
+                except NotRealizable:
+                    continue
+                return _reference_walk_to_vertex(
+                    p, leg_x, leg_y, dx[vertex], factory
+                )
+        raise NotRealizable("center vertex lies outside concrete paths")
+
+    return leg, vertex_module
+
+
+def _reference_walk_to_vertex(p, leg_x, leg_y, steps, factory):
+    """Module at distance `steps` from pi_p(x) toward pi_p(y), with the
+    primitive p-power isogeny from the base reaching it."""
+    _, px, _ = project_p(leg_x, p, certificate_factory=factory)
+    if steps == 0:
+        return px.target, px
+    _, py, _ = project_p(leg_y, p, certificate_factory=factory)
+    # primitive p-power X -> Y through the base
+    rho = iso_compose(py, iso_dual(px, factory), factory)
+    rho = primitive_part(rho, factory)
+    chain = factor_prime_power(rho, certificate_factory=factory)
+    if steps > len(chain):
+        raise InternalInconsistency("walk longer than the p-power chain")
+    walked = chain[0]
+    for link in chain[1:steps]:
+        walked = iso_compose(link, walked, factory)
+    reach = iso_compose(walked, px, factory)
+    reach = primitive_part(reach, factory)
+    return reach.target, reach
+
+
+def _reference_materialize_center(datum, result, certificate_factory):
+    """`materialize_center` with the reference walks, otherwise verbatim."""
+    if not datum.modules:
+        raise NotRealizable("orbit datum carries no concrete modules")
+    factory = certificate_factory
+    leg, vertex_module = _reference_closures(datum, factory)
+
+    support = datum.support
+    trees = result.trees
+
+    def glue(descriptor):
+        cur_iso = leg(0)  # scalar: base -> base
+        for p in support:
+            tree = trees[p]
+            vertex = descriptor[p]
+            _, to_vertex = vertex_module(p, tree, vertex)
+            # transport to the current glued module
+            omega = iso_compose(to_vertex, iso_dual(cur_iso, factory), factory)
+            omega = primitive_part(omega, factory)
+            _, p_part, _ = project_p(omega, p, certificate_factory=factory)
+            cur_iso = iso_compose(p_part, cur_iso, factory)
+            cur_iso = primitive_part(cur_iso, factory)
+        return cur_iso
+
+    iso_psi = glue(result.psi_descriptor)
+    iso_psi_prime = glue(result.psi_prime_descriptor)
+    psi = iso_psi.target
+    bridge = iso_compose(iso_psi_prime, iso_dual(iso_psi, factory), factory)
+    bridge = primitive_part(bridge, factory)
+    if bridge.degree_ideal() != result.n:
+        raise InternalInconsistency("materialized isogeny degree differs from n")
+    if not bridge.is_cyclic():
+        raise InternalInconsistency("materialized isogeny is not cyclic")
+    return psi, bridge
+
+
+def _materialization_cases():
+    """(name, datum, certificate factory): the worked example with each leg
+    configuration, and trivial-group orbits [phi, tgt] of a planted cyclic
+    (T - c)^2 isogeny and [phi, mid, tgt] of a planted two-prime point."""
+    K, galois, phi, sphi, iso_mu, iso_eta, certs = _worked_example_orbit()
+    for legs in ({(1, 0): iso_mu, (0, 1): iso_eta}, {(1, 0): iso_mu},
+                 {(0, 1): iso_eta}):
+        yield (f"worked {sorted(legs)}",
+               orbit_from_isogenies([phi, sphi], legs, galois), certs)
+    Q3 = rational_field(3)
+    trivial = GaloisDatum(Q3, [])
+    certs = CertificateCache()
+    rng = random.Random(31)
+    squares = 0
+    while squares < 2:
+        c = F3.elem_packed(rng.randrange(3))
+        src, tgt, chi = _cyclic_square(rng, Q3, c)
+        try:
+            iso = verify_isogeny(src, tgt, chi, certs(src, 2))
+        except CMSuspected:
+            continue
+        squares += 1
+        yield (f"square {squares}",
+               orbit_from_isogenies([src, tgt], {(0, 1): iso}, trivial), certs)
+    rng = random.Random(7)
+    points = 0
+    while points < 2:
+        src, mid, tgt, h, g1, chi, _, _ = two_prime_point(rng, Q3)
+        try:
+            legs = {(0, 1): verify_isogeny(src, mid, h, certs(src, 1)),
+                    (2, 1): iso_dual(
+                        verify_isogeny(mid, tgt, g1, certs(mid, 1)), certs),
+                    (0, 2): verify_isogeny(src, tgt, chi, certs(src, 2))}
+        except CMSuspected:
+            continue
+        points += 1
+        yield (f"two primes {points}",
+               orbit_from_isogenies([src, mid, tgt], legs, trivial), certs)
+
+
+def _walk_or_refusal(walk):
+    try:
+        iso = walk()
+    except NotRealizable as exc:
+        return str(exc)
+    return iso.source, iso.target, iso.mu
+
+
+def test_walks_from_the_base_match_the_walks_between_classes():
+    # every vertex of every tree, with the legs of each case and with the
+    # leg to the last label left out, where no concrete path may reach it
+    longest = 0
+    for name, datum, certs in _materialization_cases():
+        res = classify(datum, fq=F3)
+        cut = dict(datum.isogenies)
+        last = len(datum.labels) - 1
+        cut.pop((0, last), None)
+        cut.pop((last, 0), None)
+        for legs in (datum.isogenies, cut):
+            part = OrbitDatum(labels=datum.labels, group=datum.group,
+                              metrics=datum.metrics, isogenies=legs,
+                              modules=datum.modules)
+            _, vertex_module = _reference_closures(part, certs)
+            for p in datum.support:
+                tree = res.trees[p]
+                for v in range(tree.n_vertices):
+                    old = _walk_or_refusal(
+                        lambda: vertex_module(p, tree, v)[1])
+                    new = _walk_or_refusal(
+                        lambda: _walk_to_vertex(part, tree, p, v, certs))
+                    assert new == old, (name, p, v)
+                    if not isinstance(new, str):
+                        longest = max(longest, tree.dists[0][v])
+        psi, bridge = materialize_center(datum, res, certificate_factory=certs)
+        ref_psi, ref_bridge = _reference_materialize_center(datum, res, certs)
+        assert (psi, bridge.source, bridge.target, bridge.mu) == \
+            (ref_psi, ref_bridge.source, ref_bridge.target, ref_bridge.mu), name
+    # the far end of each (T - c)^2 leg is two links from the base
+    assert longest == 2
