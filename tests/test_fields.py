@@ -1248,10 +1248,11 @@ def test_one_entry_point_per_question():
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
                 if "__all__" in names:
                     names += [e.value for e in node.value.elts]
-            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+            elif isinstance(node, ast.ImportFrom) \
+                    and path.name == "__init__.py":
                 names = [a.asname or a.name for a in node.names]
-            hits += [f"{path.name}:{node.lineno}: binds {name}" for name in names
-                     if name in _FORWARDERS | _FREE_FORWARDERS]
+            hits += [f"{path.name}:{node.lineno}: binds {name}"
+                     for name in names if name in _FORWARDERS | _FREE_FORWARDERS]
     assert hits == []
 
 

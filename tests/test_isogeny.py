@@ -568,7 +568,8 @@ def test_project_p_against_the_full_degree_split():
             assert mid == ref_mid
             assert p_part.mu == ref_part
             assert coprime.mu == ref_quo
-            assert (p_part.mu.deg == 0) == (iso.degree_parts()[0].valuation(p) == 0)
+            assert (p_part.mu.deg == 0) == \
+                (iso.degree_parts()[0].valuation(p) == 0)
 
 
 def test_find_isogenies_scalars_and_twist():
