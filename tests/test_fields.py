@@ -1,6 +1,7 @@
 """Base algebra: the tower F_p < F_q < A < Q, ideals, and Galois actions."""
 import ast
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -22,6 +23,9 @@ from dforge.fields import (
     _KRON_MIN_LEN,
     _KRON_MIN_SHORT,
     _NEWTON_MIN_LEN,
+    _SPARSE_MAX_PAIRS,
+    _SPARSE_MIN_WORK,
+    _SPARSE_RATIO,
     Fq,
     PolyA,
     RatFunc,
@@ -346,6 +350,140 @@ def test_kron_conv_reaches_slot_bound(p, ha, hb):
         want = sum(np.convolve(da[:, i], db[:, k - i])
                    for i in range(ha) if 0 <= k - i < hb)
         assert np.array_equal(conv[:, k], want)
+
+
+SPARSE_FIELDS = [get_fq(3), get_fq(7), F9, get_fq(5, (2, 1, 1)), get_fq(65521)]
+
+
+def _dense_mul(fq, a, b):
+    """a b by the dense kernel, trimmed: `_kron_conv` of the F_p digits,
+    reduced by the digits of y^k mod the modulus from the reference digit
+    arithmetic (np.convolve would take seconds on two spreads over
+    F_65521)."""
+    digits, pack, mul = _reference_ops(fq)
+    powers = [1]
+    for _ in range(2 * fq.d - 2):
+        powers.append(int(mul(powers[-1], fq.p)))  # y is packed as p
+    conv = _kron_conv(digits(a), digits(b), fq.p) % fq.p
+    return _trim(pack(conv @ digits(np.array(powers))))
+
+
+def _mul_and_path(fq, a, b, monkeypatch):
+    """fq.arr_mul(a, b), and whether it summed terms with np.bincount (the
+    sparse rule; no dense kernel calls it)."""
+    seen = []
+    bincount = np.bincount
+    with monkeypatch.context() as m:
+        m.setattr(np, "bincount", lambda *args: seen.append(1) or bincount(*args))
+        out = fq.arr_mul(a, b)
+    return out, bool(seen)
+
+
+def _sparse_operand(rng, fq, n, count):
+    """Length n with `count` nonzero terms, the top one among them."""
+    out = np.zeros(n, dtype=np.int64)
+    at = rng.choice(n - 1, count - 1, replace=False)
+    out[at] = rng.integers(1, fq.q, count - 1)
+    out[-1] = rng.integers(1, fq.q)
+    return out
+
+
+@pytest.mark.parametrize("fq", SPARSE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_sparse_products_match_the_dense_kernels(fq, monkeypatch):
+    rng = np.random.default_rng(fq.q)
+    # the least k with Q = q^k >= 2 * _SPARSE_RATIO and (Q + 1)^2 >=
+    # _SPARSE_MIN_WORK: a spread of degree >= 1 then passes the rule's
+    # ratio against any operand, and its floor against another spread or
+    # an operand of length m
+    k = 1
+    while fq.q ** k < max(2 * _SPARSE_RATIO, math.isqrt(_SPARSE_MIN_WORK)):
+        k += 1
+    Q = fq.q ** k
+    m = -(-_SPARSE_MIN_WORK // Q)
+
+    def dense(n):
+        out = rng.integers(0, fq.q, n)
+        out[-1] = rng.integers(1, fq.q)
+        return out
+
+    g, delta = dense(3), dense(4)
+    g_spread, delta_spread = fq.arr_frob_spread(g, k), fq.arr_frob_spread(delta, k)
+    frob_minus_T = np.zeros(Q + 1, dtype=np.int64)
+    frob_minus_T[[1, Q]] = fq.p - 1, 1                       # T^Q - T
+    frob_plus_T = frob_minus_T.copy()
+    frob_plus_T[1] = 1                                       # T^Q + T
+    cases = [
+        (g_spread, dense(m)),                               # D(T^(q^k)) x dense
+        (frob_minus_T, dense(m + 10)),
+        (frob_minus_T, delta_spread),
+        (frob_minus_T, frob_plus_T),       # the T^(Q + 1) terms cancel
+        # untrimmed operands, as Newton's steps pass them: the rule's
+        # result is trimmed
+        (np.concatenate((g_spread, [0, 0])), np.concatenate((dense(m + 20), [0]))),
+    ]
+    if Q < 1000:
+        cases.append((g_spread, fq.arr_frob_spread(delta, k + 1)))
+    for a, b in cases:
+        want = _dense_mul(fq, a, b)
+        for x, y in ((a, b), (b, a)):
+            got, sparse = _mul_and_path(fq, x, y, monkeypatch)
+            assert sparse
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    # spread x spread is the spread of the product
+    got, sparse = _mul_and_path(fq, g_spread, delta_spread, monkeypatch)
+    assert sparse
+    assert np.array_equal(got, fq.arr_frob_spread(_dense_mul(fq, g, delta), k))
+    assert np.array_equal(_trim(got), got)
+    # both sides of the work floor and of the ratio, dense operands on the
+    # far side of each
+    side = -(-_SPARSE_MIN_WORK // 64)
+    pairs = (128 * 128 // _SPARSE_RATIO) // 32
+    for la, lb, na, nb, want_sparse in [
+            (64, side, 2, 2, True), (64, side - 1, 2, 2, False),
+            (128, 128, 32, pairs, True), (128, 128, 32, pairs + 1, False),
+            (128, 128, 128, 128, False), (40, 40, 40, 40, False)]:
+        a = _sparse_operand(rng, fq, la, na)
+        b = _sparse_operand(rng, fq, lb, nb)
+        got, sparse = _mul_and_path(fq, a, b, monkeypatch)
+        assert sparse == want_sparse, (la, lb, na, nb)
+        assert np.array_equal(got, _dense_mul(fq, a, b))
+
+
+def test_sparse_sums_reach_their_bound_exactly(monkeypatch):
+    # every term (p - 1)^2 over F_65521, 512 nonzero terms a side (the pair
+    # cap) and 511 terms in the fullest bin: sums near 2^41, which float64
+    # holds exactly
+    fq = get_fq(65521)
+    a = np.zeros(2048, dtype=np.int64)
+    a[:511] = a[-1] = fq.p - 1
+    got, sparse = _mul_and_path(fq, a, a, monkeypatch)
+    assert sparse
+    assert np.array_equal(got, _dense_mul(fq, a, a))
+
+
+def test_sparse_products_past_the_pair_cap_stay_dense(monkeypatch):
+    fq = get_fq(3)
+    rng = np.random.default_rng(30)
+    cap = _SPARSE_MAX_PAIRS
+    # 1024^2 pairs, four times the cap: as dense they take Kronecker
+    # substitution, while the pairs alone would hold 8 MiB per array
+    a = _sparse_operand(rng, fq, 16384, 1024)
+    b = _sparse_operand(rng, fq, 16384, 1024)
+    with bounded(2, 4):
+        got, sparse = _mul_and_path(fq, a, b, monkeypatch)
+    assert not sparse
+    assert np.array_equal(got, _dense_mul(fq, a, b))
+    # at the cap the rule applies and allocates a few MiB: the pairs'
+    # exponents and values, 2 MiB each
+    side = int(cap ** 0.5)
+    a = _sparse_operand(rng, fq, 4096, side)
+    b = _sparse_operand(rng, fq, 4096, side)
+    with bounded(2, 8):
+        got, sparse = _mul_and_path(fq, a, b, monkeypatch)
+    assert sparse
+    assert np.array_equal(got, _dense_mul(fq, a, b))
+    b[np.flatnonzero(b == 0)[0]] = 1
+    assert not _mul_and_path(fq, a, b, monkeypatch)[1]
 
 
 def test_trim_cases():
