@@ -299,7 +299,7 @@ class Fq:
         if work >= _SPARSE_MIN_WORK:
             na, nb = np.count_nonzero(a), np.count_nonzero(b)
             if na * nb <= min(_SPARSE_MAX_PAIRS, work // _SPARSE_RATIO):
-                if na > nb:  # one row per term of the sparser: long rows
+                if na > nb:  # rows follow the sparser: few, long rows
                     a, b = b, a
                 ia, ib = np.flatnonzero(a), np.flatnonzero(b)
                 at = (ia[:, None] + ib).ravel()

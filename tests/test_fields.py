@@ -409,11 +409,11 @@ def test_sparse_products_match_the_dense_kernels(fq, monkeypatch):
     g, delta = dense(3), dense(4)
     g_spread, delta_spread = fq.arr_frob_spread(g, k), fq.arr_frob_spread(delta, k)
     frob_minus_T = np.zeros(Q + 1, dtype=np.int64)
-    frob_minus_T[[1, Q]] = fq.p - 1, 1                       # T^Q - T
+    frob_minus_T[[1, Q]] = fq.p - 1, 1    # T^Q - T
     frob_plus_T = frob_minus_T.copy()
-    frob_plus_T[1] = 1                                       # T^Q + T
+    frob_plus_T[1] = 1                    # T^Q + T
     cases = [
-        (g_spread, dense(m)),                               # D(T^(q^k)) x dense
+        (g_spread, dense(m)),             # g(T^Q) x dense
         (frob_minus_T, dense(m + 10)),
         (frob_minus_T, delta_spread),
         (frob_minus_T, frob_plus_T),       # the T^(Q + 1) terms cancel
